@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -211,13 +212,18 @@ func (l *Loader) load(path, dir string) (*Package, error) {
 		if !isAnalyzableFile(e) {
 			continue
 		}
+		// Analyze the files the host build compiles: GOOS/GOARCH file
+		// suffixes and //go:build lines (including `ignore` on helper
+		// scripts) pick them, as they pick per-arch kernels.
+		if ok, err := build.Default.MatchFile(dir, e.Name()); err != nil {
+			return nil, fmt.Errorf("analysis: reading build constraints of %s: %w", e.Name(), err)
+		} else if !ok {
+			continue
+		}
 		full := filepath.Join(dir, e.Name())
 		f, err := parser.ParseFile(l.Fset, full, nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, fmt.Errorf("analysis: parsing %s: %w", full, err)
-		}
-		if ignoredByBuildTag(f) {
-			continue
 		}
 		files = append(files, f)
 	}
@@ -240,23 +246,6 @@ func (l *Loader) load(path, dir string) (*Package, error) {
 	pkg := &Package{Path: path, Dir: dir, Files: files, Types: tpkg, Info: info}
 	l.pkgs[path] = pkg
 	return pkg, nil
-}
-
-// ignoredByBuildTag reports whether a file opts out of ordinary builds
-// with a `//go:build ignore`-style constraint (helper scripts).
-func ignoredByBuildTag(f *ast.File) bool {
-	for _, cg := range f.Comments {
-		if cg.Pos() > f.Package {
-			break
-		}
-		for _, c := range cg.List {
-			text := strings.TrimSpace(c.Text)
-			if strings.HasPrefix(text, "//go:build") && strings.Contains(text, "ignore") {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // loaderImporter resolves module-local import paths to the loader's

@@ -618,8 +618,8 @@ func (r *FCNN) reconNormalizer(spec recon.GridSpec) *features.Normalizer {
 // fusedTile micro-batches through their own scratch, so the whole
 // macro-batch performs O(workers) allocations on first use and zero
 // afterwards. Results are bit-identical to the row-at-a-time reference
-// path (reconstructRegionScalar) — the kernels preserve accumulation
-// order exactly.
+// path (reconstructRegionScalar, the tests' oracle) — the kernels
+// preserve accumulation order exactly.
 func (r *FCNN) fusedInfer(pred nn.Predictor, ex *features.Extractor, spec recon.GridSpec, region recon.Region, chunk []int, dst []float64, norm *features.Normalizer, workers int, scratch []*fusedScratch) error {
 	nw := workers
 	if nw > len(chunk) {
@@ -673,66 +673,6 @@ func (r *FCNN) fusedInfer(pred nn.Predictor, ex *features.Extractor, spec recon.
 		}
 	})
 	return firstErr
-}
-
-// reconstructRegionScalar is the pre-fusion row-at-a-time reference
-// implementation: full feature matrix per macro-batch, the parallel
-// sharded Predict, per-point denorm. Kept unexported for the
-// bit-identity guard test, which asserts the fused path reproduces its
-// output volumes byte for byte.
-func (r *FCNN) reconstructRegionScalar(ctx context.Context, p *recon.Plan, region recon.Region, dst []float64) error {
-	c := p.Cloud()
-	if c.Len() < r.opts.Features.K {
-		return fmt.Errorf("core: cloud has %d points, need >= %d", c.Len(), r.opts.Features.K)
-	}
-	spec := p.Spec()
-	norm := r.reconNormalizer(spec)
-	ex, err := features.NewExtractorWithTree(r.opts.Features, c, p.Tree(), norm)
-	if err != nil {
-		return err
-	}
-	n := region.Len()
-	eps2 := spec.MinSpacing2() * 1e-12
-	nearIdx, nearD2, err := p.NearestFor(ctx, region, r.opts.Workers)
-	if err != nil {
-		return err
-	}
-	voidIdx := make([]int, 0, n)
-	for m := 0; m < n; m++ {
-		if nearD2[m] <= eps2 {
-			dst[m] = c.Values[nearIdx[m]]
-		} else {
-			voidIdx = append(voidIdx, m)
-		}
-	}
-	batch := r.opts.ReconBatch
-	if batch <= 0 {
-		batch = 1 << 18
-	}
-	var queries []mathutil.Vec3
-	for bstart := 0; bstart < len(voidIdx); bstart += batch {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		end := bstart + batch
-		if end > len(voidIdx) {
-			end = len(voidIdx)
-		}
-		chunk := voidIdx[bstart:end]
-		queries = queries[:0]
-		for _, m := range chunk {
-			queries = append(queries, region.PointAt(spec, m))
-		}
-		x := ex.Matrix(queries)
-		pred, err := r.net.Predict(x)
-		if err != nil {
-			return err
-		}
-		for i := range chunk {
-			dst[chunk[i]] = norm.Denorm(pred.At(i, 0))
-		}
-	}
-	return nil
 }
 
 // Losses returns the concatenated per-epoch training losses (full

@@ -2,13 +2,18 @@ package nn
 
 import "fmt"
 
-// This file is the fused batched-inference path: a register-blocked
-// forward kernel plus caller-owned activation buffers, so steady-state
-// inference over a stream of chunks performs zero heap allocations.
-// The kernel is bit-identical to dense.forward — for every (row, output)
-// pair the accumulator starts at the bias and adds w[i]*x[i] with i
-// ascending in a single float64 sum, so fusing changes nothing about
-// the produced values, only how fast they are produced.
+// This file is the fused batched-inference path: caller-owned buffers
+// around one dense-layer kernel, denseForward, so steady-state inference
+// over a stream of chunks performs zero heap allocations. Every forward
+// pass in the package runs through denseForward: PredictInto, Predict,
+// the quantized views and training. On amd64 it is a packed-SSE2
+// micro-kernel (dense_amd64.s); on every other GOARCH, and for the rows
+// and outputs that do not fill a 4×4 block, it is denseForwardBlocked.
+// Both are bit-identical to a row-at-a-time scalar loop: for every
+// (row, output) pair the accumulator starts at the bias and adds
+// w[i]*x[i] with i ascending, each product and each sum rounded on its
+// own (no fused multiply-add), so blocking and vectorising change only
+// how fast the values are produced.
 
 // Predictor is the fused inference contract shared by the
 // full-precision Network and its Quantized variants: size buffers once
@@ -31,9 +36,10 @@ type InferenceBuffers struct {
 	// directly, but its slot is still allocated so buffers built from a
 	// config serve any same-shaped network.
 	acts [][]float64
-	// wrow is the dequantized-weight-row scratch used by the quantized
-	// kernels (capacity = widest layer input).
-	wrow []float64
+	// w receives a quantized layer's expanded weights and pack the
+	// current layer's weights in the micro-kernel's interleaved layout;
+	// both are sized for the largest layer (in × out).
+	w, pack []float64
 }
 
 // MaxRows returns the batch capacity the buffers were sized for.
@@ -46,14 +52,13 @@ func newInferenceBuffers(widths []int, maxRows int) *InferenceBuffers {
 		maxRows = 1
 	}
 	b := &InferenceBuffers{maxRows: maxRows}
-	maxIn := 0
+	maxW := 0
 	for i := 1; i < len(widths); i++ {
 		b.acts = append(b.acts, make([]float64, maxRows*widths[i]))
-		if widths[i-1] > maxIn {
-			maxIn = widths[i-1]
-		}
+		maxW = max(maxW, widths[i-1]*widths[i])
 	}
-	b.wrow = make([]float64, maxIn)
+	b.w = make([]float64, maxW)
+	b.pack = make([]float64, maxW)
 	return b
 }
 
@@ -83,7 +88,7 @@ func (n *Network) PredictInto(x, out *Matrix, buf *InferenceBuffers) error {
 		if li < len(n.layers)-1 {
 			dst = buf.acts[li][:x.Rows*l.out]
 		}
-		denseForwardBlocked(cur, x.Rows, l.in, l.w, l.b, l.out, l.relu, dst)
+		denseForward(cur, x.Rows, l.in, l.w, l.b, l.out, l.relu, dst, buf.pack)
 		cur = dst
 	}
 	return nil
@@ -102,17 +107,26 @@ func checkPredictInto(cfg Config, x, out *Matrix, buf *InferenceBuffers) error {
 	if len(buf.acts) != len(cfg.Hidden)+1 {
 		return fmt.Errorf("nn: inference buffers built for %d layers, want %d", len(buf.acts), len(cfg.Hidden)+1)
 	}
+	in := cfg.In
+	for li, act := range buf.acts {
+		width := cfg.Out
+		if li < len(cfg.Hidden) {
+			width = cfg.Hidden[li]
+		}
+		if len(act) < x.Rows*width || len(buf.w) < in*width || len(buf.pack) < in*width {
+			return fmt.Errorf("nn: inference buffers too small for layer %d (%d→%d) at %d rows", li, in, width, x.Rows)
+		}
+		in = width
+	}
 	return nil
 }
 
-// denseForwardBlocked is the tiled affine+ReLU kernel: x is (rows × in)
-// row-major, dst is (rows × nout) row-major. Rows are processed four at
-// a time so each weight row streams from cache once per four samples
-// (the layer weights are the large operand; inputs are a handful of
-// floats per row). Accumulation order per (row, output) matches
-// dense.forward exactly, keeping the fused path bit-identical to the
-// row-at-a-time path.
-func denseForwardBlocked(x []float64, rows, in int, w, b []float64, nout int, relu bool, dst []float64) {
+// denseForwardBlocked is the portable affine+ReLU kernel for outputs
+// [o0, nout) of every row: x is (rows × in) row-major, dst is (rows ×
+// nout) row-major. Rows are processed four at a time so each weight row
+// streams from cache once per four samples (the layer weights are the
+// large operand; inputs are a handful of floats per row).
+func denseForwardBlocked(x []float64, rows, in int, w, b []float64, nout, o0 int, relu bool, dst []float64) {
 	r := 0
 	for ; r+4 <= rows; r += 4 {
 		x0 := x[(r+0)*in : (r+1)*in]
@@ -123,7 +137,7 @@ func denseForwardBlocked(x []float64, rows, in int, w, b []float64, nout int, re
 		d1 := dst[(r+1)*nout : (r+2)*nout]
 		d2 := dst[(r+2)*nout : (r+3)*nout]
 		d3 := dst[(r+3)*nout : (r+4)*nout]
-		for o := 0; o < nout; o++ {
+		for o := o0; o < nout; o++ {
 			wo := w[o*in : (o+1)*in]
 			bo := b[o]
 			s0, s1, s2, s3 := bo, bo, bo, bo
@@ -153,7 +167,7 @@ func denseForwardBlocked(x []float64, rows, in int, w, b []float64, nout int, re
 	for ; r < rows; r++ {
 		xr := x[r*in : (r+1)*in]
 		dr := dst[r*nout : (r+1)*nout]
-		for o := 0; o < nout; o++ {
+		for o := o0; o < nout; o++ {
 			wo := w[o*in : (o+1)*in]
 			s := b[o]
 			for i, wi := range wo {

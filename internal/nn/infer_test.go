@@ -25,25 +25,27 @@ func randomInput(rows, cols int, seed int64) *Matrix {
 	return x
 }
 
-// TestPredictIntoBitIdentical pins the fused-kernel contract: the
-// blocked forward pass produces exactly the bits of the row-at-a-time
-// Predict path, across batch sizes that exercise every unroll remainder.
+// TestPredictIntoBitIdentical pins the fused-path contract end to end:
+// PredictInto, and Predict on top of it, reproduce the bits of the
+// scalar oracle chained through every layer, across batch sizes that
+// exercise every block remainder and Predict's tiling.
 func TestPredictIntoBitIdentical(t *testing.T) {
 	n := testNetwork(t)
-	buf := n.NewInferenceBuffers(257)
-	for _, rows := range []int{1, 2, 3, 4, 5, 7, 8, 64, 257} {
+	buf := n.NewInferenceBuffers(1100)
+	for _, rows := range []int{1, 2, 3, 4, 5, 7, 8, 64, 257, 1100} {
 		x := randomInput(rows, 23, int64(rows))
-		want, err := n.Predict(x)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := scalarPredict(n, x)
 		out := NewMatrix(rows, 4)
 		if err := n.PredictInto(x, out, buf); err != nil {
 			t.Fatal(err)
 		}
-		for i := range want.Data {
-			if math.Float64bits(out.Data[i]) != math.Float64bits(want.Data[i]) {
-				t.Fatalf("rows=%d element %d: fused %x, reference %x", rows, i, out.Data[i], want.Data[i])
+		pred, err := n.Predict(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, w := range want.Data {
+			if math.Float64bits(out.Data[i]) != math.Float64bits(w) || math.Float64bits(pred.Data[i]) != math.Float64bits(w) {
+				t.Fatalf("rows=%d element %d: PredictInto %x, Predict %x, scalar %x", rows, i, out.Data[i], pred.Data[i], w)
 			}
 		}
 	}
@@ -63,6 +65,23 @@ func TestPredictIntoShapeErrors(t *testing.T) {
 	}
 	if err := n.PredictInto(NewMatrix(4, 23), NewMatrix(4, 4), nil); err == nil {
 		t.Error("nil buffers accepted")
+	}
+	// Buffers built for narrower layers of the same depth must be
+	// refused, not overrun.
+	narrow, err := New(Config{In: 23, Out: 4, Hidden: []int{8, 4, 2}, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	small := narrow.NewInferenceBuffers(8)
+	if err := n.PredictInto(NewMatrix(8, 23), NewMatrix(8, 4), small); err == nil {
+		t.Error("buffers for narrower layers accepted")
+	}
+	q, err := n.Quantize(QuantInt8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := q.PredictInto(NewMatrix(8, 23), NewMatrix(8, 4), small); err == nil {
+		t.Error("quantized: buffers for narrower layers accepted")
 	}
 }
 
@@ -148,17 +167,42 @@ func TestQuantizeRejectsNone(t *testing.T) {
 	}
 }
 
+// BenchmarkPredictInto streams 512-row tiles, the fused reconstruction
+// tile, through the test network and through the network the repo
+// benchmark pretrains (23→128,64,32,16,8→4), reporting ns/row and
+// GFLOP/s (two FLOPs per multiply-add).
 func BenchmarkPredictInto(b *testing.B) {
-	n := testNetwork(b)
-	x := randomInput(512, 23, 3)
-	out := NewMatrix(512, 4)
-	buf := n.NewInferenceBuffers(512)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := n.PredictInto(x, out, buf); err != nil {
-			b.Fatal(err)
-		}
+	for _, bc := range []struct {
+		name   string
+		hidden []int
+	}{
+		{"test-net", []int{64, 32, 16}},
+		{"perfbench-net", []int{128, 64, 32, 16, 8}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			n, err := New(Config{In: 23, Out: 4, Hidden: bc.hidden, Seed: 5})
+			if err != nil {
+				b.Fatal(err)
+			}
+			const rows = 512
+			x := randomInput(rows, 23, 3)
+			out := NewMatrix(rows, 4)
+			buf := n.NewInferenceBuffers(rows)
+			macs := 0
+			for _, l := range n.layers {
+				macs += l.in * l.out
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := n.PredictInto(x, out, buf); err != nil {
+					b.Fatal(err)
+				}
+			}
+			nsRow := float64(b.Elapsed().Nanoseconds()) / float64(b.N*rows)
+			b.ReportMetric(nsRow, "ns/row")
+			b.ReportMetric(2*float64(macs)/nsRow, "GFLOP/s")
+		})
 	}
 }
 

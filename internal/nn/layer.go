@@ -28,31 +28,6 @@ func (l *dense) initHe(rnd interface{ NormFloat64() float64 }) {
 	}
 }
 
-// forward computes the layer output for a batch shard, storing both the
-// pre-activation (for backward) and the activation into the caches.
-// x is (n × in); z and a are (n × out).
-func (l *dense) forward(x, z, a *Matrix) {
-	n := x.Rows
-	for r := 0; r < n; r++ {
-		xr := x.Row(r)
-		zr := z.Row(r)
-		ar := a.Row(r)
-		for o := 0; o < l.out; o++ {
-			w := l.w[o*l.in : (o+1)*l.in]
-			s := l.b[o]
-			for i, wi := range w {
-				s += wi * xr[i]
-			}
-			zr[o] = s
-			if l.relu && s < 0 {
-				ar[o] = 0
-			} else {
-				ar[o] = s
-			}
-		}
-	}
-}
-
 // backward consumes dA (gradient wrt this layer's activation), converts
 // it through the ReLU to dZ in place, accumulates weight/bias gradients
 // into gw/gb, and writes the gradient wrt the input into dX (when

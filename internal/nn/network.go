@@ -233,8 +233,13 @@ func (n *Network) TrainableParamCount() int {
 	return total
 }
 
+// predictTile is the row count Predict streams through PredictInto at a
+// time, the fused reconstruction path's tile size.
+const predictTile = 512
+
 // Predict runs batched inference in parallel and returns the (rows ×
-// Out) prediction matrix.
+// Out) prediction matrix. Each worker streams its share of the rows
+// through PredictInto with buffers of its own.
 func (n *Network) Predict(x *Matrix) (*Matrix, error) {
 	if x.Cols != n.cfg.In {
 		return nil, fmt.Errorf("nn: input width %d, want %d", x.Cols, n.cfg.In)
@@ -245,32 +250,34 @@ func (n *Network) Predict(x *Matrix) (*Matrix, error) {
 		workers = parallel.DefaultWorkers()
 	}
 	parallel.ForChunked(x.Rows, workers, func(lo, hi int) {
-		n.forwardShard(x.SliceRows(lo, hi), out.SliceRows(lo, hi), nil, nil)
+		buf := n.NewInferenceBuffers(min(predictTile, hi-lo))
+		for t := lo; t < hi; t += predictTile {
+			te := min(t+predictTile, hi)
+			if err := n.PredictInto(x.SliceRows(t, te), out.SliceRows(t, te), buf); err != nil {
+				// The shapes were checked above and buf fits every tile.
+				panic(err)
+			}
+		}
 	})
 	return out, nil
 }
 
-// forwardShard runs the full forward pass for a shard. When zs/as are
-// non-nil they receive the per-layer caches needed for backward.
-func (n *Network) forwardShard(x, out *Matrix, zs, as []*Matrix) {
+// forwardShard runs the forward pass for one training shard, keeping
+// what backward needs: each layer's pre-activation in zs (the inference
+// kernel with ReLU off) and its activation relu(z) in as. pack is the
+// kernel's weight scratch.
+func (n *Network) forwardShard(x *Matrix, zs, as []*Matrix, pack []float64) {
 	cur := x
 	for li, l := range n.layers {
-		var z, a *Matrix
-		if zs != nil {
-			z, a = zs[li], as[li]
-		} else {
-			z = NewMatrix(cur.Rows, l.out)
-			if li == len(n.layers)-1 {
-				a = out
-			} else {
-				a = NewMatrix(cur.Rows, l.out)
+		z, a := zs[li], as[li]
+		denseForward(cur.Data, cur.Rows, l.in, l.w, l.b, l.out, false, z.Data, pack)
+		for i, s := range z.Data {
+			if l.relu && s < 0 {
+				s = 0
 			}
+			a.Data[i] = s
 		}
-		l.forward(cur, z, a)
 		cur = a
-	}
-	if zs != nil && out != nil {
-		copy(out.Data, as[len(as)-1].Data)
 	}
 }
 
@@ -623,17 +630,21 @@ type trainScratch struct {
 	dA     []*Matrix
 	gw     [][]float64
 	gb     [][]float64
+	pack   []float64 // denseForward's weight scratch, sized for the largest layer
 }
 
 func (n *Network) newTrainScratch(rows int) *trainScratch {
 	s := &trainScratch{}
+	maxW := 0
 	for _, l := range n.layers {
 		s.zs = append(s.zs, NewMatrix(rows, l.out))
 		s.as = append(s.as, NewMatrix(rows, l.out))
 		s.dA = append(s.dA, NewMatrix(rows, l.out))
 		s.gw = append(s.gw, make([]float64, len(l.w)))
 		s.gb = append(s.gb, make([]float64, len(l.b)))
+		maxW = max(maxW, len(l.w))
 	}
+	s.pack = make([]float64, maxW)
 	return s
 }
 
@@ -709,7 +720,7 @@ func (n *Network) shardGradient(sx, sy *Matrix, s *trainScratch, batchTotal int)
 			s.gb[li][i] = 0
 		}
 	}
-	n.forwardShard(sx, nil, zs, as)
+	n.forwardShard(sx, zs, as, s.pack)
 
 	// d(MSE)/d(pred) with the MSE normalized over batch*out elements.
 	pred := as[nl-1]

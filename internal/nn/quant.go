@@ -8,12 +8,13 @@ import (
 )
 
 // Quantized inference: weights stored as IEEE 754 binary16 halves or as
-// int8 with one scale per layer, expanded row-by-row into a small f64
-// scratch inside the blocked GEMM. The dot products themselves always
-// run in float64 — quantization only compresses the stored weights
-// (4x for int8, 2x for f16) and trades a bounded amount of accuracy,
-// which the golden-SNR harness pins per mode. Biases stay float64:
-// they are O(width) per layer, too small to be worth compressing.
+// int8 with one scale per layer, expanded layer by layer into an f64
+// scratch that the full-precision kernel then runs on. The dot products
+// themselves always run in float64 — quantization only compresses the
+// stored weights (4x for int8, 2x for f16) and trades a bounded amount
+// of accuracy, which the golden-SNR harness pins per mode. Biases stay
+// float64: they are O(width) per layer, too small to be worth
+// compressing.
 
 // QuantMode selects the weight storage of a Quantized network.
 type QuantMode int
@@ -131,9 +132,9 @@ func (q *Quantized) NewInferenceBuffers(maxRows int) *InferenceBuffers {
 }
 
 // PredictInto runs the forward pass with on-the-fly weight expansion:
-// each compressed weight row is dequantized once into buf.wrow and then
-// reused across the row block, so the expansion cost is amortized over
-// the batch. Zero heap allocations per call.
+// each layer's compressed weights are expanded into buf once per call
+// and then run on the full-precision kernel, so the expansion cost is
+// amortized over the batch. Zero heap allocations per call.
 func (q *Quantized) PredictInto(x, out *Matrix, buf *InferenceBuffers) error {
 	if err := checkPredictInto(q.cfg, x, out, buf); err != nil {
 		return err
@@ -145,73 +146,23 @@ func (q *Quantized) PredictInto(x, out *Matrix, buf *InferenceBuffers) error {
 		if li < len(q.layers)-1 {
 			dst = buf.acts[li][:x.Rows*l.out]
 		}
-		quantForwardBlocked(l, cur, x.Rows, buf.wrow[:l.in], dst)
+		w := l.expand(buf.w[:l.in*l.out])
+		denseForward(cur, x.Rows, l.in, w, l.b, l.out, l.relu, dst, buf.pack)
 		cur = dst
 	}
 	return nil
 }
 
-// quantForwardBlocked mirrors denseForwardBlocked with a dequantization
-// step per weight row. The loop nest is inverted relative to the f64
-// kernel — outputs outermost — so each weight row is expanded exactly
-// once per batch, not once per row block.
-func quantForwardBlocked(l *quantDense, x []float64, rows int, wrow, dst []float64) {
-	in, nout := l.in, l.out
-	for o := 0; o < nout; o++ {
-		if l.f16 != nil {
-			hw := l.f16[o*in : (o+1)*in]
-			for i, h := range hw {
-				wrow[i] = mathutil.F16Decode(h)
-			}
-		} else {
-			qw := l.q8[o*in : (o+1)*in]
-			for i, qv := range qw {
-				wrow[i] = l.scale * float64(qv)
-			}
+// expand writes the layer's weights as float64 into w and returns it.
+func (l *quantDense) expand(w []float64) []float64 {
+	if l.f16 != nil {
+		for i, h := range l.f16 {
+			w[i] = mathutil.F16Decode(h)
 		}
-		bo := l.b[o]
-		r := 0
-		for ; r+4 <= rows; r += 4 {
-			x0 := x[(r+0)*in : (r+1)*in]
-			x1 := x[(r+1)*in : (r+2)*in]
-			x2 := x[(r+2)*in : (r+3)*in]
-			x3 := x[(r+3)*in : (r+4)*in]
-			s0, s1, s2, s3 := bo, bo, bo, bo
-			for i, wi := range wrow {
-				s0 += wi * x0[i]
-				s1 += wi * x1[i]
-				s2 += wi * x2[i]
-				s3 += wi * x3[i]
-			}
-			if l.relu {
-				if s0 < 0 {
-					s0 = 0
-				}
-				if s1 < 0 {
-					s1 = 0
-				}
-				if s2 < 0 {
-					s2 = 0
-				}
-				if s3 < 0 {
-					s3 = 0
-				}
-			}
-			dst[(r+0)*nout+o] = s0
-			dst[(r+1)*nout+o] = s1
-			dst[(r+2)*nout+o] = s2
-			dst[(r+3)*nout+o] = s3
-		}
-		for ; r < rows; r++ {
-			xr := x[r*in : (r+1)*in]
-			s := bo
-			for i, wi := range wrow {
-				s += wi * xr[i]
-			}
-			if l.relu && s < 0 {
-				s = 0
-			}
-			dst[r*nout+o] = s
-		}
+		return w
 	}
+	for i, qv := range l.q8 {
+		w[i] = l.scale * float64(qv)
+	}
+	return w
 }
