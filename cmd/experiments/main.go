@@ -46,7 +46,6 @@ func main() {
 		benchOut = flag.String("bench-out", "", "write a machine-readable run summary (e.g. BENCH_experiments.json)")
 	)
 	tf := telemetry.RegisterFlags(flag.CommandLine)
-	trf := trace.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
 	if *list {
@@ -88,11 +87,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(2)
 	}
-	traceStop, err := trf.Start()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(2)
-	}
 
 	cfg := &experiments.Config{
 		Scale:   sc,
@@ -128,11 +122,11 @@ func main() {
 		var msBefore runtime.MemStats
 		runtime.ReadMemStats(&msBefore)
 		start := time.Now()
-		// The trace root is named run/<id> so the bridged telemetry span
+		// The trace root is named run/<id> so the telemetry span
 		// experiment/<id> nests under it instead of duplicating it.
-		_, rootSp := trace.Start(context.Background(), "run/"+r.ID)
-		sp := telemetry.Default().StartSpan("experiment/" + r.ID)
-		res, err := r.Run(cfg)
+		ctx, rootSp := trace.Default().Start(context.Background(), "run/"+r.ID)
+		ctx, sp := telemetry.Default().Start(ctx, "experiment/"+r.ID)
+		res, err := r.Run(ctx, cfg)
 		sp.End()
 		rootSp.End()
 		wall := time.Since(start)
@@ -177,10 +171,6 @@ func main() {
 		if !*quiet {
 			fmt.Fprintf(os.Stderr, "wrote run summary to %s\n", *benchOut)
 		}
-	}
-	if err := traceStop(); err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
 	}
 	if err := stop(); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)

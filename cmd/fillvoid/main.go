@@ -31,40 +31,30 @@ import (
 	"fillvoid/internal/datasets"
 	"fillvoid/internal/interp"
 	"fillvoid/internal/metrics"
+	"fillvoid/internal/recon"
 	"fillvoid/internal/sampling"
 	"fillvoid/internal/telemetry"
 	"fillvoid/internal/trace"
 	"fillvoid/internal/vtk"
 )
 
-// startTelemetry applies the shared observability flags (telemetry and
-// tracing) after fs.Parse and returns a finish func that merges
+// startTelemetry applies the shared observability flags after
+// fs.Parse and opens the invocation's root trace span (a no-op without
+// -trace-out). It returns the root's context, which stage code traces
+// under, and a finish func that ends the root and merges
 // snapshot-write/trace-write/server-shutdown errors into the command's
 // named return error.
-func startTelemetry(name string, tf *telemetry.Flags, trf *trace.Flags, cmdErr *error) (finish func(), err error) {
+func startTelemetry(name string, tf *telemetry.Flags, cmdErr *error) (ctx context.Context, finish func(), err error) {
 	stop, err := tf.Start()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	traceStop, err := trf.Start()
-	if err != nil {
-		if serr := stop(); serr != nil {
-			telemetry.Warnf("stopping telemetry after trace start failure", "err", serr)
-		}
-		return nil, err
-	}
-	// Root span for the whole invocation: bridged telemetry spans and
-	// parallel workers parent under it, so -trace-out captures one tree
-	// per subcommand instead of dropping every span as an orphan.
-	_, root := trace.Start(context.Background(), "cmd/"+name)
-	return func() {
+	ctx, root := trace.Default().Start(context.Background(), "cmd/"+name)
+	return ctx, func() {
 		if *cmdErr != nil {
 			root.SetError((*cmdErr).Error())
 		}
 		root.End()
-		if serr := traceStop(); serr != nil && *cmdErr == nil {
-			*cmdErr = serr
-		}
 		if serr := stop(); serr != nil && *cmdErr == nil {
 			*cmdErr = serr
 		}
@@ -138,11 +128,10 @@ func cmdGenerate(args []string) (err error) {
 	seed := fs.Int64("seed", 42, "generator seed")
 	out := fs.String("o", "volume.vti", "output .vti path")
 	tf := telemetry.RegisterFlags(fs)
-	trf := trace.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	finish, err := startTelemetry(fs.Name(), tf, trf, &err)
+	_, finish, err := startTelemetry(fs.Name(), tf, &err)
 	if err != nil {
 		return err
 	}
@@ -170,11 +159,10 @@ func cmdSample(args []string) (err error) {
 	seed := fs.Int64("seed", 42, "sampler seed")
 	out := fs.String("o", "points.vtp", "output .vtp path")
 	tf := telemetry.RegisterFlags(fs)
-	trf := trace.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	finish, err := startTelemetry(fs.Name(), tf, trf, &err)
+	_, finish, err := startTelemetry(fs.Name(), tf, &err)
 	if err != nil {
 		return err
 	}
@@ -216,11 +204,10 @@ func cmdTrain(args []string) (err error) {
 	ckKeep := fs.Int("checkpoint-keep", 3, "checkpoints retained (newest first)")
 	resume := fs.Bool("resume", false, "resume from the newest checkpoint in -checkpoint-dir")
 	tf := telemetry.RegisterFlags(fs)
-	trf := trace.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	finish, err := startTelemetry(fs.Name(), tf, trf, &err)
+	ctx, finish, err := startTelemetry(fs.Name(), tf, &err)
 	if err != nil {
 		return err
 	}
@@ -242,8 +229,7 @@ func cmdTrain(args []string) (err error) {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("pretraining on %s (%d points, field %q)...\n", *in, v.Len(), name)
-	var r *core.FCNN
+	var ck core.Checkpointing
 	if *ckDir != "" {
 		// Crash-safe path: SIGINT/SIGTERM stop training at the next epoch
 		// boundary after a final checkpoint; -resume continues from it.
@@ -251,27 +237,23 @@ func cmdTrain(args []string) (err error) {
 		if err != nil {
 			return err
 		}
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+		ck = core.Checkpointing{Manager: mgr, Every: *ckEvery, Resume: *resume}
+		var stop context.CancelFunc
+		ctx, stop = signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
 		defer stop()
-		r, err = core.PretrainResumable(ctx, v, name, &sampling.Importance{Seed: *seed}, opts,
-			core.Checkpointing{Manager: mgr, Every: *ckEvery, Resume: *resume})
-		if errors.Is(err, core.ErrStopped) {
-			losses := r.Losses()
-			fmt.Printf("interrupted after epoch %d; checkpoint saved in %s — rerun with -resume to continue\n",
-				len(losses), *ckDir)
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-	} else {
-		if *resume {
-			return fmt.Errorf("-resume requires -checkpoint-dir")
-		}
-		r, err = core.Pretrain(v, name, &sampling.Importance{Seed: *seed}, opts)
-		if err != nil {
-			return err
-		}
+	} else if *resume {
+		return fmt.Errorf("-resume requires -checkpoint-dir")
+	}
+	fmt.Printf("pretraining on %s (%d points, field %q)...\n", *in, v.Len(), name)
+	r, err := core.PretrainResumable(ctx, v, name, &sampling.Importance{Seed: *seed}, opts, ck)
+	if errors.Is(err, core.ErrStopped) {
+		losses := r.Losses()
+		fmt.Printf("interrupted after epoch %d; checkpoint saved in %s — rerun with -resume to continue\n",
+			len(losses), *ckDir)
+		return nil
+	}
+	if err != nil {
+		return err
 	}
 	if err := r.SaveFile(*model); err != nil {
 		return err
@@ -291,11 +273,10 @@ func cmdFinetune(args []string) (err error) {
 	caseMode := fs.Int("case", 1, "1 = all layers (fast), 2 = last two layers (small storage)")
 	seed := fs.Int64("seed", 42, "sampler seed")
 	tf := telemetry.RegisterFlags(fs)
-	trf := trace.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	finish, err := startTelemetry(fs.Name(), tf, trf, &err)
+	ctx, finish, err := startTelemetry(fs.Name(), tf, &err)
 	if err != nil {
 		return err
 	}
@@ -319,7 +300,7 @@ func cmdFinetune(args []string) (err error) {
 	if *caseMode == 2 {
 		mode = core.FineTuneLastTwo
 	}
-	if err := r.FineTune(v, &sampling.Importance{Seed: *seed}, mode, *epochs); err != nil {
+	if err := r.FineTuneResumable(ctx, v, &sampling.Importance{Seed: *seed}, mode, *epochs, core.Checkpointing{}); err != nil {
 		return err
 	}
 	if err := r.SaveFile(*out); err != nil {
@@ -338,11 +319,10 @@ func cmdReconstruct(args []string) (err error) {
 	quant := fs.String("quant", "", "quantized inference: f16 or int8 (fcnn only)")
 	out := fs.String("o", "recon.vti", "output .vti path")
 	tf := telemetry.RegisterFlags(fs)
-	trf := trace.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	finish, err := startTelemetry(fs.Name(), tf, trf, &err)
+	ctx, finish, err := startTelemetry(fs.Name(), tf, &err)
 	if err != nil {
 		return err
 	}
@@ -385,7 +365,7 @@ func cmdReconstruct(args []string) (err error) {
 	if err != nil {
 		return err
 	}
-	vol, err := m.Reconstruct(cloud, interp.SpecOf(ref))
+	vol, err := recon.ReconstructCloud(ctx, m, cloud, interp.SpecOf(ref))
 	if err != nil {
 		return err
 	}
@@ -402,11 +382,10 @@ func cmdEvaluate(args []string) (err error) {
 	truthPath := fs.String("truth", "", "ground-truth .vti")
 	reconPath := fs.String("recon", "", "reconstructed .vti")
 	tf := telemetry.RegisterFlags(fs)
-	trf := trace.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	finish, err := startTelemetry(fs.Name(), tf, trf, &err)
+	_, finish, err := startTelemetry(fs.Name(), tf, &err)
 	if err != nil {
 		return err
 	}
@@ -449,11 +428,10 @@ func cmdRender(args []string) (err error) {
 	slice := fs.Int("slice", -1, "z-slice index (-1 = middle)")
 	out := fs.String("o", "slice.ppm", "output .ppm path")
 	tf := telemetry.RegisterFlags(fs)
-	trf := trace.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	finish, err := startTelemetry(fs.Name(), tf, trf, &err)
+	_, finish, err := startTelemetry(fs.Name(), tf, &err)
 	if err != nil {
 		return err
 	}
@@ -505,11 +483,10 @@ func cmdPack(args []string) (err error) {
 	seed := fs.Int64("seed", 42, "sampler seed")
 	out := fs.String("o", "samples.fvs", "output .fvs path")
 	tf := telemetry.RegisterFlags(fs)
-	trf := trace.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	finish, err := startTelemetry(fs.Name(), tf, trf, &err)
+	_, finish, err := startTelemetry(fs.Name(), tf, &err)
 	if err != nil {
 		return err
 	}
@@ -561,11 +538,10 @@ func cmdUnpack(args []string) (err error) {
 	in := fs.String("in", "", "input .fvs file")
 	out := fs.String("o", "points.vtp", "output .vtp path")
 	tf := telemetry.RegisterFlags(fs)
-	trf := trace.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	finish, err := startTelemetry(fs.Name(), tf, trf, &err)
+	_, finish, err := startTelemetry(fs.Name(), tf, &err)
 	if err != nil {
 		return err
 	}

@@ -15,7 +15,6 @@ import (
 	"fillvoid/internal/recon"
 	"fillvoid/internal/server"
 	"fillvoid/internal/telemetry"
-	"fillvoid/internal/trace"
 )
 
 // cmdServe runs the HTTP reconstruction service: the model (if any) is
@@ -45,11 +44,10 @@ func cmdServe(args []string) (err error) {
 	modelCache := fs.Int("model-cache", 0, "decoded stored-model LRU capacity (0 = 8)")
 	progressiveChunks := fs.Int("progressive-chunks", 0, "default chunk count for progressive reconstructions (0 = 8)")
 	tf := telemetry.RegisterFlags(fs)
-	trf := trace.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	finish, err := startTelemetry(fs.Name(), tf, trf, &err)
+	_, finish, err := startTelemetry(fs.Name(), tf, &err)
 	if err != nil {
 		return err
 	}

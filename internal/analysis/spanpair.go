@@ -7,18 +7,19 @@ import (
 
 // SpanPair returns the analyzer that pairs span begins with ends:
 // every call producing a Span from one of the given packages
-// (telemetry.StartSpan/Child, trace.Start/StartChild, and anything
-// added later with that result type) must either have its End called —
-// directly or deferred — somewhere in the enclosing declaration, or
-// visibly escape (returned, passed to another function, stored in a
-// struct), in which case the receiver owns the End. A span whose
-// result is discarded on the spot can never be ended and always leaks
-// an open stage timer. Calls returning a span inside a tuple, like
-// trace.Start's (ctx, span), are checked on the span element.
+// (telemetry's Registry.Start and Span.Child, the trace roots
+// Tracer.Start/StartRemote, and anything added later with that result
+// type) must either have its End called — directly or deferred —
+// somewhere in the enclosing declaration, or visibly escape (returned,
+// passed to another function, stored in a struct), in which case the
+// receiver owns the End. A span whose result is discarded on the spot
+// can never be ended and always leaks an open stage timer. Calls
+// returning a span inside a tuple, like Registry.Start's (ctx, span),
+// are checked on the span element.
 //
-// Accessors that borrow an already-open span rather than starting one
-// (trace.FromContext, trace.Ambient) are exempt: their caller observes
-// a span someone else owns and must NOT end it.
+// trace.FromContext, which borrows the context's already-open span
+// rather than starting one, is exempt: its caller observes a span
+// someone else owns and must NOT end it.
 //
 // spanPkgs are the package paths defining a Span type
 // (fillvoid/internal/telemetry and fillvoid/internal/trace for the
@@ -67,7 +68,7 @@ func checkSpansInBody(pass *Pass, spanPkgs []string, funcName string, body *ast.
 		case *ast.SelectorExpr:
 			name = f.Sel.Name
 		}
-		return name == "FromContext" || name == "Ambient"
+		return name == "FromContext"
 	}
 
 	// spanResultIndex locates the span element in a call's results:
@@ -112,7 +113,7 @@ func checkSpansInBody(pass *Pass, spanPkgs []string, funcName string, body *ast.
 			switch node.Sel.Name {
 			case "End":
 				ended[obj] = true
-			case "Child", "Path", "StartChild", "SetAttr", "SetError", "TraceID", "ID", "Name":
+			case "Child", "Path", "SetAttr", "SetError", "TraceID", "ID", "Name":
 				// Reading from or annotating the span keeps it open;
 				// neither ends nor transfers ownership. (StartChild's
 				// result is itself a span the second pass checks.)
@@ -156,7 +157,7 @@ func checkSpansInBody(pass *Pass, spanPkgs []string, funcName string, body *ast.
 				}
 				// Resolve which LHS expression receives the span: 1:1
 				// assignment, or the span element of a tuple-returning
-				// call like trace.Start's (ctx, span).
+				// call like Registry.Start's (ctx, span).
 				var lhs ast.Expr
 				switch {
 				case len(node.Lhs) == len(node.Rhs):

@@ -9,64 +9,67 @@ import (
 	"fillvoid/internal/trace"
 )
 
-func discarded(reg *telemetry.Registry) {
-	reg.StartSpan("stage") // want "span result discarded"
-}
-
-func blank(reg *telemetry.Registry) {
-	_ = reg.StartSpan("stage") // want "span assigned to _"
-}
-
-func leaked(reg *telemetry.Registry) string {
-	sp := reg.StartSpan("stage") // want "never ended"
+// Registry.Start returns (ctx, span): the span element of the tuple
+// must be ended even though the call's direct result is not a span.
+func leaked(ctx context.Context, reg *telemetry.Registry) string {
+	_, sp := reg.Start(ctx, "stage") // want "never ended"
 	return sp.Path()
 }
 
+func discarded(ctx context.Context, reg *telemetry.Registry) {
+	reg.Start(ctx, "stage") // want "span result discarded"
+}
+
+func blank(ctx context.Context, reg *telemetry.Registry) {
+	_, _ = reg.Start(ctx, "stage") // want "span assigned to _"
+}
+
 // Ended spans are fine, deferred or direct.
-func ended(reg *telemetry.Registry) {
-	sp := reg.StartSpan("stage")
-	defer sp.End()
-}
-
-// A span that escapes is the receiver's responsibility.
-func escapes(reg *telemetry.Registry) *telemetry.Span {
-	return reg.StartSpan("stage")
-}
-
-// trace.Start returns (ctx, span): the span element of the tuple must
-// be ended even though the call's direct result is not a span.
-func traceLeaked(ctx context.Context) {
-	_, sp := trace.Start(ctx, "stage") // want "never ended"
-	sp.SetAttr("k", "v")
-}
-
-func traceBlank(ctx context.Context) {
-	_, _ = trace.Start(ctx, "stage") // want "span assigned to _"
-}
-
-func traceEnded(ctx context.Context) context.Context {
-	ctx, sp := trace.Start(ctx, "stage")
+func ended(ctx context.Context, reg *telemetry.Registry) context.Context {
+	ctx, sp := reg.Start(ctx, "stage")
 	defer sp.End()
 	return ctx
 }
 
-func traceChildLeaked(parent *trace.Span) {
-	child := parent.StartChild("stage") // want "never ended"
+// A span that escapes is the receiver's responsibility.
+func escapes(ctx context.Context, reg *telemetry.Registry) *telemetry.Span {
+	_, sp := reg.Start(ctx, "stage")
+	return sp
+}
+
+func childDiscarded(sp *telemetry.Span) {
+	sp.Child("stage") // want "span result discarded"
+}
+
+func childLeaked(sp *telemetry.Span) {
+	child := sp.Child("stage") // want "never ended"
 	child.SetError("boom")
 }
 
-func traceChildEnded(parent *trace.Span) {
-	child := parent.StartChild("stage")
+func childEnded(sp *telemetry.Span) {
+	child := sp.Child("stage")
+	child.SetAttr("k", "v")
 	child.End()
 }
 
-func traceDiscarded(parent *trace.Span) {
-	parent.StartChild("stage") // want "span result discarded"
+// Trace roots: Tracer.Start and StartRemote return (ctx, span) too.
+func rootLeaked(ctx context.Context, t *trace.Tracer) {
+	_, sp := t.Start(ctx, "root") // want "never ended"
+	sp.SetAttr("k", "v")
 }
 
-// Borrow accessors return a span someone else owns; no End required.
-func traceBorrowed(ctx context.Context) string {
+func rootBlank(ctx context.Context, t *trace.Tracer, id trace.TraceID, parent trace.SpanID) {
+	_, _ = t.StartRemote(ctx, "root", id, parent) // want "span assigned to _"
+}
+
+func rootEnded(ctx context.Context, t *trace.Tracer) context.Context {
+	ctx, sp := t.Start(ctx, "root")
+	defer sp.End()
+	return ctx
+}
+
+// FromContext borrows a span someone else owns; no End required.
+func borrowed(ctx context.Context) string {
 	sp := trace.FromContext(ctx)
-	amb := trace.Ambient(ctx)
-	return sp.Name() + amb.Name()
+	return sp.Name()
 }

@@ -24,6 +24,7 @@ package checkpoint
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
@@ -184,7 +185,7 @@ func parseEpoch(name string) int {
 // published checkpoints untouched — the temp file is removed (best
 // effort) and the error returned.
 func (m *Manager) Save(meta Meta, payload any) (path string, err error) {
-	sp := m.tel.StartSpan("checkpoint/save")
+	_, sp := m.tel.Start(context.TODO(), "checkpoint/save")
 	defer sp.End()
 	defer func() {
 		if err != nil {
@@ -312,7 +313,7 @@ func (m *Manager) List() ([]Meta, error) {
 // write interrupted at any byte can cost at most the epochs since the
 // previous checkpoint. ErrNoCheckpoint means a fresh start.
 func (m *Manager) LoadLatest(payload any) (Meta, error) {
-	sp := m.tel.StartSpan("checkpoint/load")
+	_, sp := m.tel.Start(context.TODO(), "checkpoint/load")
 	defer sp.End()
 	epochs, err := m.epochs()
 	if err != nil {

@@ -405,10 +405,8 @@ func (c *Cluster) request(ctx context.Context, m Member, method, path, kind stri
 	req.Header.Set(HeaderReplica, c.Self().ID)
 	// Propagate the caller's trace so the replica's spans stitch into
 	// the same tree (the server continues an incoming traceparent).
-	if sp := trace.Ambient(ctx); sp != nil {
-		if tid := sp.TraceID(); !tid.IsZero() {
-			req.Header.Set("traceparent", trace.FormatTraceparent(tid, sp.ID(), true))
-		}
+	if sp := trace.FromContext(ctx); sp != nil {
+		req.Header.Set("traceparent", trace.FormatTraceparent(sp.TraceID(), sp.ID(), true))
 	}
 	resp, err := c.cfg.Client.Do(req)
 	if err != nil {

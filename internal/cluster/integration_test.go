@@ -20,6 +20,7 @@ import (
 	"fillvoid/internal/sampling"
 	"fillvoid/internal/server"
 	"fillvoid/internal/telemetry"
+	"fillvoid/internal/trace"
 )
 
 // isabelCloud reproduces the repo's golden fixture: one Isabel-analog
@@ -68,14 +69,15 @@ func post(t *testing.T, url string, body any) (int, []byte) {
 }
 
 type replica struct {
-	srv *server.Server
-	cl  *cluster.Cluster
-	tel *telemetry.Registry
-	url string
+	srv    *server.Server
+	cl     *cluster.Cluster
+	tel    *telemetry.Registry
+	tracer *trace.Tracer
+	url    string
 }
 
-// startCluster boots n replicas on ephemeral ports and binds them into
-// one membership. Listener addresses only exist after Start, so the
+// startCluster boots n replicas, each with its own registry and tracer,
+// on ephemeral ports and binds them into one membership. Listener addresses only exist after Start, so the
 // clusters begin on placeholder URLs and are rebound via SetMembers —
 // the same late-binding flow the serve command uses.
 func startCluster(t *testing.T, n, shards, threshold int) []replica {
@@ -100,9 +102,11 @@ func startCluster(t *testing.T, n, shards, threshold int) []replica {
 		if err != nil {
 			t.Fatal(err)
 		}
+		tracer := trace.New(trace.Config{})
 		srv, err := server.New(server.Config{
 			Registry:  interp.StandardRegistry(2),
 			Telemetry: tel,
+			Tracer:    tracer,
 			Cluster:   cl,
 		})
 		if err != nil {
@@ -112,7 +116,7 @@ func startCluster(t *testing.T, n, shards, threshold int) []replica {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { srv.Close() })
-		reps[i] = replica{srv: srv, cl: cl, tel: tel, url: "http://" + srv.Addr()}
+		reps[i] = replica{srv: srv, cl: cl, tel: tel, tracer: tracer, url: "http://" + srv.Addr()}
 	}
 	members := make([]cluster.Member, n)
 	for i, r := range reps {
@@ -214,6 +218,80 @@ func TestShardedMatchesSingleReplicaGolden(t *testing.T) {
 				t.Fatalf("cluster.route.fanout = %d on the coordinator, want 1", fanouts)
 			}
 		})
+	}
+}
+
+// TestShardTracesJoinCallersTrace: a sharded box query sent with a
+// traceparent continues the caller's trace on every replica that ran a
+// shard, and each of those remote traces holds the engine's execute
+// stage — whichever replica's tracer was created last.
+func TestShardTracesJoinCallersTrace(t *testing.T) {
+	cloud, gj := isabelCloud(t)
+	cj := wireCloudOf(cloud)
+	reps := startCluster(t, 3, 3, 1)
+	if code, body := post(t, reps[0].url+"/v1/clouds", cj); code != http.StatusOK {
+		t.Fatalf("upload: %d %s", code, body)
+	}
+
+	caller := trace.NewTraceID()
+	b, err := json.Marshal(&server.ReconstructRequest{Method: "shepard", Cloud: cj, Grid: gj,
+		Region: server.RegionJSON{Box: &[6]int{0, 0, 0, 24, 24, 8}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest("POST", reps[0].url+"/v1/reconstruct", bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("traceparent", trace.FormatTraceparent(caller, trace.NewSpanID(), true))
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("sharded box query: %d %s %v", resp.StatusCode, body, err)
+	}
+	var got server.ReconstructResponse
+	if err := json.Unmarshal(body, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Shards < 2 {
+		t.Fatalf("query ran as %d shards, want a fan-out", got.Shards)
+	}
+
+	total := int64(0)
+	for i, r := range reps {
+		// Every reconstruct request a replica served, less the external
+		// one at the coordinator, is a shard it ran.
+		shards := r.tel.Counter("server.reconstruct.requests").Value()
+		if i == 0 {
+			shards--
+		}
+		total += shards
+		executed := int64(0)
+		for _, td := range r.tracer.Traces() {
+			if td.TraceID != caller {
+				continue
+			}
+			if !td.Remote {
+				t.Fatalf("replica %d: trace %s is not marked remote", i, caller)
+			}
+			for _, sp := range td.Spans {
+				if sp.Name == "recon/execute" {
+					executed++
+					break
+				}
+			}
+		}
+		if executed != shards {
+			t.Fatalf("replica %d ran %d shards but holds %d traces of %s with recon/execute", i, shards, executed, caller)
+		}
+	}
+	if total != int64(got.Shards) {
+		t.Fatalf("replicas ran %d shards, response reports %d", total, got.Shards)
 	}
 }
 

@@ -241,58 +241,10 @@ func (r *FCNN) Timings() (train, recon time.Duration) {
 // Pretrain samples truth at each training fraction with the given
 // sampler, builds the combined training set, and trains a fresh FCNN.
 // It returns the trained reconstructor; per-epoch losses are available
-// via Losses.
+// via Losses. It is PretrainResumable with no checkpoints and no
+// cancellation.
 func Pretrain(truth *grid.Volume, fieldName string, sampler sampling.Sampler, opts Options) (*FCNN, error) {
-	opts = opts.withDefaults()
-	reg := telemetry.Default()
-	sp := reg.StartSpan("pretrain")
-	start := time.Now()
-	ts, norm, err := buildTrainingSet(truth, fieldName, sampler, opts, nil, sp)
-	if err != nil {
-		return nil, err
-	}
-	net, err := nn.New(nn.Config{
-		In:        opts.Features.InputWidth(),
-		Out:       opts.Features.OutputWidth(),
-		Hidden:    opts.Hidden,
-		Seed:      opts.Seed,
-		BatchSize: opts.BatchSize,
-		Workers:   opts.Workers,
-		Adam:      nn.AdamConfig{LearningRate: opts.LearningRate},
-	})
-	if err != nil {
-		return nil, err
-	}
-	if reg.Enabled() {
-		net.SetObserver(reg.Train("pretrain"))
-	}
-	reg.Counter("core.pretrain.rows").Add(int64(ts.Len()))
-	r := &FCNN{opts: opts, net: net, norm: norm, fieldName: fieldName, tm: &timings{}}
-	trainSp := sp.Child("train")
-	if opts.ValidationFraction > 0 {
-		train, val, err := ts.Split(opts.ValidationFraction, opts.Seed^0x5a11d)
-		if err != nil {
-			return nil, err
-		}
-		patience := opts.Patience
-		if patience <= 0 {
-			patience = 20
-		}
-		if _, _, err := net.TrainWithValidation(train.X, train.Y, val.X, val.Y, opts.Epochs, patience); err != nil {
-			return nil, err
-		}
-	} else if _, err := net.TrainEpochs(ts.X, ts.Y, opts.Epochs); err != nil {
-		return nil, err
-	}
-	trainSp.End()
-	sp.End()
-	elapsed := time.Since(start)
-	r.tm.setTrain(elapsed)
-	reg.Counter("core.pretrain.runs").Inc()
-	telemetry.Infof("pretrain done",
-		"field", fieldName, "rows", ts.Len(), "epochs", len(net.Losses),
-		"params", net.ParamCount(), "dur", elapsed.Round(time.Millisecond))
-	return r, nil
+	return PretrainResumable(context.TODO(), truth, fieldName, sampler, opts, Checkpointing{})
 }
 
 // buildTrainingSet assembles the concatenated multi-fraction training
@@ -401,45 +353,10 @@ const gradTargetRMS = 0.2
 // whose ground truth is available in situ, using epochs epochs of the
 // given mode. Pass epochs <= 0 for the mode's default (FineTuneEpochs
 // for Case 1, 30× that for Case 2). The model's freeze state is
-// restored to fully-trainable afterwards.
+// restored to fully-trainable afterwards. It is FineTuneResumable with
+// no checkpoints and no cancellation.
 func (r *FCNN) FineTune(truth *grid.Volume, sampler sampling.Sampler, mode FineTuneMode, epochs int) error {
-	opts := r.opts
-	if epochs <= 0 {
-		epochs = opts.FineTuneEpochs
-		if mode == FineTuneLastTwo {
-			epochs = opts.FineTuneEpochs * 30
-		}
-	}
-	reg := telemetry.Default()
-	sp := reg.StartSpan("finetune")
-	start := time.Now()
-	ts, _, err := buildTrainingSet(truth, r.fieldName, sampler, opts, r.norm, sp)
-	if err != nil {
-		return err
-	}
-	switch mode {
-	case FineTuneAll:
-		r.net.UnfreezeAll()
-	case FineTuneLastTwo:
-		r.net.FreezeAllButLast(2)
-	default:
-		return fmt.Errorf("core: unknown fine-tune mode %v", mode)
-	}
-	if reg.Enabled() {
-		r.net.SetObserver(reg.Train("finetune"))
-	}
-	trainSp := sp.Child("train")
-	_, err = r.net.TrainEpochs(ts.X, ts.Y, epochs)
-	trainSp.End()
-	r.net.UnfreezeAll()
-	sp.End()
-	elapsed := time.Since(start)
-	r.tm.setTrain(elapsed)
-	reg.Counter("core.finetune.runs").Inc()
-	telemetry.Infof("finetune done",
-		"field", r.fieldName, "mode", mode, "rows", ts.Len(), "epochs", epochs,
-		"dur", elapsed.Round(time.Millisecond))
-	return err
+	return r.FineTuneResumable(context.TODO(), truth, sampler, mode, epochs, Checkpointing{})
 }
 
 // Name implements recon.Reconstructor: "fcnn" for the full-precision
@@ -534,7 +451,7 @@ func (r *FCNN) ReconstructRegion(ctx context.Context, p *recon.Plan, region reco
 	}
 	spec := p.Spec()
 	reg := telemetry.Default()
-	sp := reg.StartSpan("reconstruct")
+	ctx, sp := reg.Start(ctx, "reconstruct")
 	defer sp.End()
 	start := time.Now()
 	norm := r.reconNormalizer(spec)

@@ -29,9 +29,10 @@ var ErrStopped = nn.ErrStopped
 var ErrCheckpoint = errors.New("core: checkpoint write failed")
 
 // Checkpointing configures crash-safe training for PretrainResumable
-// and FineTuneResumable.
+// and FineTuneResumable. The zero value trains without checkpoints.
 type Checkpointing struct {
-	// Manager owns the checkpoint directory. Required.
+	// Manager owns the checkpoint directory. Nil writes no checkpoints
+	// (and Resume is then an error).
 	Manager *checkpoint.Manager
 	// Every is the epoch period between periodic checkpoints (default
 	// 25). A final checkpoint is always written on cancellation.
@@ -120,6 +121,9 @@ func configHash(kind, fieldName string, truth *grid.Volume, opts Options) uint64
 // against the current configuration. A fresh directory (ErrNoCheckpoint)
 // returns a nil payload and no error: start from scratch.
 func loadResume(ck Checkpointing, hash uint64) (*trainPayload, error) {
+	if ck.Manager == nil {
+		return nil, errors.New("core: Checkpointing.Resume requires a Manager")
+	}
 	var p trainPayload
 	meta, err := ck.Manager.LoadLatest(&p)
 	if errors.Is(err, checkpoint.ErrNoCheckpoint) {
@@ -140,8 +144,12 @@ func loadResume(ck Checkpointing, hash uint64) (*trainPayload, error) {
 
 // sink returns the RunOptions checkpoint callback: it wraps each
 // captured training state in the run's identity payload and hands it to
-// the manager for an atomic write.
+// the manager for an atomic write. Without a manager it is nil, so the
+// run writes no checkpoints.
 func sink(ck Checkpointing, hash uint64, norm *features.Normalizer, fieldName string, startEpochs int) func(*nn.TrainState) error {
+	if ck.Manager == nil {
+		return nil
+	}
 	return func(ts *nn.TrainState) error {
 		_, err := ck.Manager.Save(checkpoint.Meta{
 			Epoch:      ts.Epoch(),
@@ -155,18 +163,17 @@ func sink(ck Checkpointing, hash uint64, norm *features.Normalizer, fieldName st
 	}
 }
 
-// PretrainResumable is Pretrain with crash safety: periodic atomic
-// checkpoints, a final checkpoint on context cancellation (returning
-// ErrStopped), and — with ck.Resume — continuation from the newest
-// intact checkpoint. Because the minibatch-shuffle generator state is
+// PretrainResumable is Pretrain under a context: cancelling ctx stops
+// training at the next epoch boundary with ErrStopped, and the stage
+// spans join ctx's trace. With ck.Manager set it is crash safe:
+// periodic atomic checkpoints, a final checkpoint on cancellation, and
+// — with ck.Resume — continuation from the newest intact checkpoint.
+// Because the minibatch-shuffle generator state is
 // checkpointed alongside the optimizer state, an interrupted-and-resumed
 // run produces bit-identical weights and losses to an uninterrupted one
 // (same data, seed, and worker count). The training set itself is not
 // checkpointed; it is rebuilt deterministically from the seeds.
 func PretrainResumable(ctx context.Context, truth *grid.Volume, fieldName string, sampler sampling.Sampler, opts Options, ck Checkpointing) (*FCNN, error) {
-	if ck.Manager == nil {
-		return nil, errors.New("core: Checkpointing.Manager is required")
-	}
 	opts = opts.withDefaults()
 	hash := configHash("pretrain", fieldName, truth, opts)
 
@@ -180,7 +187,7 @@ func PretrainResumable(ctx context.Context, truth *grid.Volume, fieldName string
 	}
 
 	reg := telemetry.Default()
-	sp := reg.StartSpan("pretrain")
+	ctx, sp := reg.Start(ctx, "pretrain")
 	start := time.Now()
 	ts, norm, err := buildTrainingSet(truth, fieldName, sampler, opts, nil, sp)
 	if err != nil {
@@ -262,15 +269,13 @@ func PretrainResumable(ctx context.Context, truth *grid.Volume, fieldName string
 	return r, nil
 }
 
-// FineTuneResumable is FineTune with the same crash safety as
-// PretrainResumable. The checkpoint directory must be distinct per
+// FineTuneResumable is FineTune under a context, with the same
+// cancellation, tracing and crash safety as PretrainResumable. The
+// checkpoint directory must be distinct per
 // fine-tuning run (e.g. one per timestep); with ck.Resume the run
 // continues from the newest checkpoint in it, counting only this run's
 // epochs against the budget.
 func (r *FCNN) FineTuneResumable(ctx context.Context, truth *grid.Volume, sampler sampling.Sampler, mode FineTuneMode, epochs int, ck Checkpointing) error {
-	if ck.Manager == nil {
-		return errors.New("core: Checkpointing.Manager is required")
-	}
 	opts := r.opts
 	if epochs <= 0 {
 		epochs = opts.FineTuneEpochs
@@ -302,7 +307,7 @@ func (r *FCNN) FineTuneResumable(ctx context.Context, truth *grid.Volume, sample
 	}
 
 	reg := telemetry.Default()
-	sp := reg.StartSpan("finetune")
+	ctx, sp := reg.Start(ctx, "finetune")
 	start := time.Now()
 	ts, _, err := buildTrainingSet(truth, r.fieldName, sampler, opts, r.norm, sp)
 	if err != nil {

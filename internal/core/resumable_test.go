@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"path"
 	"testing"
 
 	"fillvoid/internal/checkpoint"
@@ -10,6 +11,7 @@ import (
 	"fillvoid/internal/grid"
 	"fillvoid/internal/sampling"
 	"fillvoid/internal/telemetry"
+	"fillvoid/internal/trace"
 )
 
 // resumableOptions: a configuration small enough that a full pretrain
@@ -239,4 +241,46 @@ func TestFineTuneResumableMatchesUninterrupted(t *testing.T) {
 		t.Fatal(err)
 	}
 	equalWeights(t, resumed, full)
+}
+
+// A span whose label path extends another span's path in the same
+// trace must hang under that span: pretrain/sample under pretrain, not
+// under its sibling pretrain/feature-build.
+func TestPretrainTraceParentsFollowPaths(t *testing.T) {
+	prev := telemetry.SetDefault(telemetry.NewRegistry())
+	defer telemetry.SetDefault(prev)
+	tr := trace.New(trace.Config{})
+	ctx, root := tr.Start(context.Background(), "test")
+	if _, err := PretrainResumable(ctx, resumableVolume(), "pressure", &sampling.Importance{Seed: 9},
+		resumableOptions(), Checkpointing{}); err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+
+	td := tr.Traces()[0]
+	byName := map[string]trace.SpanRecord{}
+	for _, sp := range td.Spans {
+		if _, dup := byName[sp.Name]; dup {
+			t.Fatalf("span %q recorded twice", sp.Name)
+		}
+		byName[sp.Name] = sp
+	}
+	for _, name := range []string{"pretrain", "pretrain/feature-build", "pretrain/sample", "pretrain/train"} {
+		if _, ok := byName[name]; !ok {
+			t.Fatalf("no %s span in the trace; spans: %v", name, byName)
+		}
+	}
+	if byName["pretrain"].ParentID != root.ID() {
+		t.Fatal("pretrain must hang under the ctx's span")
+	}
+	for _, sp := range td.Spans {
+		for p := path.Dir(sp.Name); p != "."; p = path.Dir(p) {
+			if parent, ok := byName[p]; ok {
+				if sp.ParentID != parent.SpanID {
+					t.Errorf("%s hangs under span %s, want its path prefix %s", sp.Name, sp.ParentID, p)
+				}
+				break
+			}
+		}
+	}
 }

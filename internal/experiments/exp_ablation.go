@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -15,7 +16,7 @@ import (
 // Isabel dataset when the FCNN has 1 through 9 hidden layers. The paper
 // finds a sweet spot at five (≈28 dB there vs ≈20 at one layer and ≈25
 // at nine).
-func Fig6(cfg *Config) (*Result, error) {
+func Fig6(ctx context.Context, cfg *Config) (*Result, error) {
 	gen := datasets.NewIsabel(cfg.Seed)
 	truth := cfg.truthAt(gen, trainTimestep(gen))
 	spec := interp.SpecOf(truth)
@@ -59,7 +60,7 @@ func Fig6(cfg *Config) (*Result, error) {
 // samples only, 5% only, and the concatenated 1%+5% set, each evaluated
 // across the full sampling sweep. The combined model should be strong
 // at both ends; single-fraction models degrade at the opposite end.
-func Fig7(cfg *Config) (*Result, error) {
+func Fig7(ctx context.Context, cfg *Config) (*Result, error) {
 	gen := datasets.NewIsabel(cfg.Seed)
 	truth := cfg.truthAt(gen, trainTimestep(gen))
 	spec := interp.SpecOf(truth)
@@ -110,7 +111,7 @@ func Fig7(cfg *Config) (*Result, error) {
 // Fig8 regenerates the gradient-supervision ablation: SNR across the
 // sampling sweep for the standard 4-output network (value + gradients)
 // vs a value-only network.
-func Fig8(cfg *Config) (*Result, error) {
+func Fig8(ctx context.Context, cfg *Config) (*Result, error) {
 	gen := datasets.NewIsabel(cfg.Seed)
 	truth := cfg.truthAt(gen, trainTimestep(gen))
 	spec := interp.SpecOf(truth)
@@ -155,7 +156,7 @@ func Fig8(cfg *Config) (*Result, error) {
 // Fig14 regenerates the training-subset quality sweep: SNR across the
 // sampling sweep when the FCNN trains on 100%, 50%, and 25% of the
 // training rows. The paper finds the quality loss negligible.
-func Fig14(cfg *Config) (*Result, error) {
+func Fig14(ctx context.Context, cfg *Config) (*Result, error) {
 	gen := datasets.NewIsabel(cfg.Seed)
 	truth := cfg.truthAt(gen, trainTimestep(gen))
 	spec := interp.SpecOf(truth)
@@ -206,7 +207,7 @@ func Fig14(cfg *Config) (*Result, error) {
 // Table1 regenerates the training-time table: wall-clock seconds for
 // full training on each dataset at its (scaled) resolution, plus the
 // Isabel double-resolution row.
-func Table1(cfg *Config) (*Result, error) {
+func Table1(ctx context.Context, cfg *Config) (*Result, error) {
 	res := &Result{
 		ID:      "table1",
 		Title:   fmt.Sprintf("Training time for %d epochs", cfg.Scale.Epochs),
@@ -261,7 +262,7 @@ func Table1(cfg *Config) (*Result, error) {
 // Table2 regenerates the training-time-vs-subset table for Isabel:
 // 100%, 50% and 25% of the training rows. Time should fall roughly
 // linearly with the subset size (the paper: 533s / 275s / 161s).
-func Table2(cfg *Config) (*Result, error) {
+func Table2(ctx context.Context, cfg *Config) (*Result, error) {
 	gen := datasets.NewIsabel(cfg.Seed)
 	truth := cfg.truthAt(gen, trainTimestep(gen))
 	res := &Result{

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -22,7 +23,7 @@ import (
 // ExtSelect compares uniform training-row selection (the paper's Table
 // II protocol) against gradient-weighted selection at aggressive
 // training-set reductions.
-func ExtSelect(cfg *Config) (*Result, error) {
+func ExtSelect(ctx context.Context, cfg *Config) (*Result, error) {
 	gen := datasets.NewIsabel(cfg.Seed)
 	truth := cfg.truthAt(gen, trainTimestep(gen))
 	spec := interp.SpecOf(truth)
@@ -69,7 +70,7 @@ func ExtSelect(cfg *Config) (*Result, error) {
 
 // ExtUncertainty evaluates a deep ensemble: mean-reconstruction SNR vs
 // a single model, plus the calibration of the predictive uncertainty.
-func ExtUncertainty(cfg *Config) (*Result, error) {
+func ExtUncertainty(ctx context.Context, cfg *Config) (*Result, error) {
 	gen := datasets.NewIsabel(cfg.Seed)
 	truth := cfg.truthAt(gen, trainTimestep(gen))
 	spec := interp.SpecOf(truth)
@@ -80,7 +81,7 @@ func ExtUncertainty(cfg *Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	single, _, err := cfg.pretrained(gen)
+	single, _, err := cfg.pretrained(ctx, gen)
 	if err != nil {
 		return nil, err
 	}
@@ -122,9 +123,9 @@ func ExtUncertainty(cfg *Config) (*Result, error) {
 // ExtCase2 quantifies the Case 1 vs Case 2 fine-tuning trade-off the
 // paper describes around Fig 5: epochs to recover quality on a new
 // timestep vs per-timestep model storage.
-func ExtCase2(cfg *Config) (*Result, error) {
+func ExtCase2(ctx context.Context, cfg *Config) (*Result, error) {
 	gen := datasets.NewIsabel(cfg.Seed)
-	model, _, err := cfg.pretrained(gen)
+	model, _, err := cfg.pretrained(ctx, gen)
 	if err != nil {
 		return nil, err
 	}
@@ -183,9 +184,9 @@ func ExtCase2(cfg *Config) (*Result, error) {
 // ExtSamplers measures how reconstruction quality depends on the in
 // situ sampling method: the paper's importance sampler vs random and
 // stratified baselines, for both the FCNN and linear reconstruction.
-func ExtSamplers(cfg *Config) (*Result, error) {
+func ExtSamplers(ctx context.Context, cfg *Config) (*Result, error) {
 	gen := datasets.NewIsabel(cfg.Seed)
-	model, truth, err := cfg.pretrained(gen)
+	model, truth, err := cfg.pretrained(ctx, gen)
 	if err != nil {
 		return nil, err
 	}

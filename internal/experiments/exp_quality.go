@@ -16,7 +16,7 @@ import (
 // Fig9 regenerates the headline quality comparison: SNR for FCNN,
 // linear, natural neighbor, Shepard and nearest neighbor at sampling
 // percentages from 0.1% to 5%, per dataset.
-func Fig9(cfg *Config) (*Result, error) {
+func Fig9(ctx context.Context, cfg *Config) (*Result, error) {
 	gens, err := cfg.datasetsFor()
 	if err != nil {
 		return nil, err
@@ -27,7 +27,7 @@ func Fig9(cfg *Config) (*Result, error) {
 		Columns: []string{"dataset", "sampling", "fcnn", "linear", "natural", "shepard", "nearest"},
 	}
 	for _, gen := range gens {
-		model, truth, err := cfg.pretrained(gen)
+		model, truth, err := cfg.pretrained(ctx, gen)
 		if err != nil {
 			return nil, err
 		}
@@ -49,7 +49,7 @@ func Fig9(cfg *Config) (*Result, error) {
 			}
 			row := []string{gen.Name(), fmtPct(frac)}
 			for _, m := range methods {
-				vol, err := recon.Reconstruct(context.Background(), m, plan, recon.Full(spec))
+				vol, err := recon.Reconstruct(ctx, m, plan, recon.Full(spec))
 				if err != nil {
 					return nil, err
 				}
@@ -69,7 +69,7 @@ func Fig9(cfg *Config) (*Result, error) {
 // Fig10 regenerates the timing comparison: seconds to reconstruct at
 // each sampling percentage for every method, including the sequential
 // vs parallel linear contrast (the paper's naive Python vs CGAL+OpenMP).
-func Fig10(cfg *Config) (*Result, error) {
+func Fig10(ctx context.Context, cfg *Config) (*Result, error) {
 	gens, err := cfg.datasetsFor()
 	if err != nil {
 		return nil, err
@@ -85,7 +85,7 @@ func Fig10(cfg *Config) (*Result, error) {
 		return time.Since(start).Seconds(), err
 	}
 	for _, gen := range gens {
-		model, truth, err := cfg.pretrained(gen)
+		model, truth, err := cfg.pretrained(ctx, gen)
 		if err != nil {
 			return nil, err
 		}
@@ -111,7 +111,7 @@ func Fig10(cfg *Config) (*Result, error) {
 			row := []string{gen.Name(), fmtPct(frac)}
 			for _, m := range methods {
 				secs, err := timeIt(func() error {
-					_, err := recon.Reconstruct(context.Background(), m, plan, recon.Full(spec))
+					_, err := recon.Reconstruct(ctx, m, plan, recon.Full(spec))
 					return err
 				})
 				if err != nil {
@@ -133,8 +133,8 @@ func Fig10(cfg *Config) (*Result, error) {
 // qualitative renders the Fig 2/3-style side-by-side slice comparison
 // for one dataset at 1% sampling: ground truth, FCNN, and one rule-based
 // competitor, writing PPM images when cfg.OutDir is set.
-func qualitative(cfg *Config, id, title string, gen datasets.Generator, competitor interp.Reconstructor) (*Result, error) {
-	model, truth, err := cfg.pretrained(gen)
+func qualitative(ctx context.Context, cfg *Config, id, title string, gen datasets.Generator, competitor interp.Reconstructor) (*Result, error) {
+	model, truth, err := cfg.pretrained(ctx, gen)
 	if err != nil {
 		return nil, err
 	}
@@ -190,18 +190,18 @@ func qualitative(cfg *Config, id, title string, gen datasets.Generator, competit
 
 // Fig2 regenerates the combustion qualitative comparison (FCNN vs
 // linear interpolation at 1% sampling).
-func Fig2(cfg *Config) (*Result, error) {
+func Fig2(ctx context.Context, cfg *Config) (*Result, error) {
 	gen := datasets.NewCombustion(cfg.Seed)
-	return qualitative(cfg, "fig2",
+	return qualitative(ctx, cfg, "fig2",
 		"Combustion @1%: FCNN vs Delaunay linear interpolation",
 		gen, &interp.Linear{Workers: cfg.Workers})
 }
 
 // Fig3 regenerates the ionization-front qualitative comparison (FCNN vs
 // natural neighbors at 1% sampling).
-func Fig3(cfg *Config) (*Result, error) {
+func Fig3(ctx context.Context, cfg *Config) (*Result, error) {
 	gen := datasets.NewIonization(cfg.Seed)
-	return qualitative(cfg, "fig3",
+	return qualitative(ctx, cfg, "fig3",
 		"Ionization Front @1%: FCNN vs natural neighbor interpolation",
 		gen, &interp.NaturalNeighbor{Workers: cfg.Workers})
 }

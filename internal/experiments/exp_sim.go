@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"fillvoid/internal/core"
@@ -15,7 +16,7 @@ import (
 // and with per-timestep Case 1 fine-tuning) against the linear
 // baseline. This closes the loop on the paper's premise — the data
 // really does come from a time-stepping solver here.
-func ExtSim(cfg *Config) (*Result, error) {
+func ExtSim(ctx context.Context, cfg *Config) (*Result, error) {
 	simCfg := sim.Config{
 		NX: 32, NY: 32, NZ: 16,
 		Diffusivity: 5e-4,

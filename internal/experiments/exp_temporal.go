@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"fillvoid/internal/core"
@@ -14,7 +15,7 @@ import (
 // 10 epochs of Case 1 fine-tuning per timestep. Pretrained models
 // degrade away from their training timestep; fine-tuned models track
 // above linear throughout.
-func Fig11(cfg *Config) (*Result, error) {
+func Fig11(ctx context.Context, cfg *Config) (*Result, error) {
 	gen := datasets.NewIsabel(cfg.Seed)
 	const evalFrac = 0.03
 
@@ -97,9 +98,9 @@ func Fig11(cfg *Config) (*Result, error) {
 // (a) full training from scratch and (b) 10-epoch Case 1 fine-tuning of
 // a pretrained model on a new timestep. Fine-tuning starts at a much
 // lower loss and converges within a handful of epochs.
-func Fig12(cfg *Config) (*Result, error) {
+func Fig12(ctx context.Context, cfg *Config) (*Result, error) {
 	gen := datasets.NewIsabel(cfg.Seed)
-	model, _, err := cfg.pretrained(gen)
+	model, _, err := cfg.pretrained(ctx, gen)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"fillvoid/internal/core"
@@ -16,7 +17,7 @@ import (
 // covers different physics). Series: linear baseline, an FCNN fully
 // trained on the high-res data (upper reference), and the low-res model
 // fine-tuned for ~10 epochs.
-func Fig13(cfg *Config) (*Result, error) {
+func Fig13(ctx context.Context, cfg *Config) (*Result, error) {
 	gen := datasets.NewIsabel(cfg.Seed)
 	t := trainTimestep(gen)
 

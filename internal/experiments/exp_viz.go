@@ -20,9 +20,9 @@ import (
 // the reconstruction and from the original field (in grid units), and
 // the image-space RMSE of a volume render against the original's
 // render. Field-level SNR is included for reference.
-func ExtViz(cfg *Config) (*Result, error) {
+func ExtViz(ctx context.Context, cfg *Config) (*Result, error) {
 	gen := datasets.NewIsabel(cfg.Seed)
-	model, truth, err := cfg.pretrained(gen)
+	model, truth, err := cfg.pretrained(ctx, gen)
 	if err != nil {
 		return nil, err
 	}
@@ -99,7 +99,7 @@ func ExtViz(cfg *Config) (*Result, error) {
 		return nil, err
 	}
 	for _, m := range methods {
-		vol, err := recon.Reconstruct(context.Background(), m, plan, recon.Full(spec))
+		vol, err := recon.Reconstruct(ctx, m, plan, recon.Full(spec))
 		if err != nil {
 			return nil, err
 		}

@@ -8,6 +8,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -194,7 +195,7 @@ type Runner struct {
 	ID          string
 	Title       string
 	Description string
-	Run         func(cfg *Config) (*Result, error)
+	Run         func(ctx context.Context, cfg *Config) (*Result, error)
 }
 
 // Registry lists every experiment keyed by id, ordered as in the paper.
@@ -274,7 +275,7 @@ func (c *Config) coreOptions() core.Options {
 
 // pretrained returns (building and caching on first use) the standard
 // 1%+5%-trained FCNN for a dataset at this scale.
-func (c *Config) pretrained(gen datasets.Generator) (*core.FCNN, *grid.Volume, error) {
+func (c *Config) pretrained(ctx context.Context, gen datasets.Generator) (*core.FCNN, *grid.Volume, error) {
 	key := gen.Name()
 	t := trainTimestep(gen)
 	truth := c.truthAt(gen, t)
@@ -289,9 +290,9 @@ func (c *Config) pretrained(gen datasets.Generator) (*core.FCNN, *grid.Volume, e
 	c.mu.Unlock()
 
 	c.logf("[%s] pretraining FCNN (%v hidden, %d epochs)...", gen.Name(), c.Scale.Hidden, c.Scale.Epochs)
-	sp := telemetry.Default().StartSpan("experiments/pretrain/" + gen.Name())
+	ctx, sp := telemetry.Default().Start(ctx, "experiments/pretrain/"+gen.Name())
 	start := time.Now()
-	m, err := core.Pretrain(truth, gen.FieldName(), c.sampler(0), c.coreOptions())
+	m, err := core.PretrainResumable(ctx, truth, gen.FieldName(), c.sampler(0), c.coreOptions(), core.Checkpointing{})
 	sp.End()
 	if err != nil {
 		return nil, nil, err

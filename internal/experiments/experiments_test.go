@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"strconv"
 	"strings"
 	"testing"
@@ -154,7 +155,7 @@ func TestFig9Micro(t *testing.T) {
 	}
 	cfg := microConfig()
 	cfg.Dataset = "isabel"
-	res, err := Fig9(cfg)
+	res, err := Fig9(context.Background(), cfg)
 	checkResult(t, res, err)
 	if len(res.Rows) != len(cfg.Scale.Fractions) {
 		t.Fatalf("%d rows", len(res.Rows))
@@ -174,7 +175,7 @@ func TestFig12Micro(t *testing.T) {
 		t.Skip("trains models")
 	}
 	cfg := microConfig()
-	res, err := Fig12(cfg)
+	res, err := Fig12(context.Background(), cfg)
 	checkResult(t, res, err)
 	// Full-training losses cover Epochs rows; fine-tune column is
 	// shorter and padded with "-".
@@ -191,7 +192,7 @@ func TestTable2Micro(t *testing.T) {
 		t.Skip("trains models")
 	}
 	cfg := microConfig()
-	res, err := Table2(cfg)
+	res, err := Table2(context.Background(), cfg)
 	checkResult(t, res, err)
 	if len(res.Rows) != 3 {
 		t.Fatalf("%d rows", len(res.Rows))
@@ -208,11 +209,11 @@ func TestModelCacheReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m1, _, err := cfg.pretrained(gens[0])
+	m1, _, err := cfg.pretrained(context.Background(), gens[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, _, err := cfg.pretrained(gens[0])
+	m2, _, err := cfg.pretrained(context.Background(), gens[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +244,7 @@ func TestExtSimMicro(t *testing.T) {
 		t.Skip("trains models and steps a simulation")
 	}
 	cfg := microConfig()
-	res, err := ExtSim(cfg)
+	res, err := ExtSim(context.Background(), cfg)
 	checkResult(t, res, err)
 	if len(res.Rows) != 5 {
 		t.Fatalf("%d rows", len(res.Rows))

@@ -10,6 +10,7 @@
 package features
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -167,7 +168,7 @@ func NewExtractor(cfg Config, c *pointcloud.Cloud, norm *Normalizer) (*Extractor
 		return nil, errors.New("features: nil normalizer")
 	}
 	reg := telemetry.Default()
-	sp := reg.StartSpan("features/knn-build")
+	_, sp := reg.Start(context.TODO(), "features/knn-build")
 	tree := kdtree.Build(c.Points)
 	sp.End()
 	reg.Counter("features.knn_tables_built").Inc()
@@ -247,7 +248,7 @@ func (e *Extractor) BuildBatch(queries []mathutil.Vec3, x *nn.Matrix, nbBuf []kd
 // parallel: one row per query, InputWidth columns.
 func (e *Extractor) Matrix(queries []mathutil.Vec3) *nn.Matrix {
 	x := nn.NewMatrix(len(queries), e.cfg.InputWidth())
-	sp := telemetry.Default().StartSpan("features/extract")
+	_, sp := telemetry.Default().Start(context.TODO(), "features/extract")
 	parallel.ForChunked(len(queries), 0, func(lo, hi int) {
 		nbBuf := make([]kdtree.Neighbor, 0, e.cfg.K)
 		for i := lo; i < hi; i++ {
@@ -263,7 +264,7 @@ func (e *Extractor) Matrix(queries []mathutil.Vec3) *nn.Matrix {
 // of volume geometry v (values of v are not read — only positions).
 func (e *Extractor) GridMatrix(v *grid.Volume, idxs []int) *nn.Matrix {
 	x := nn.NewMatrix(len(idxs), e.cfg.InputWidth())
-	sp := telemetry.Default().StartSpan("features/extract")
+	_, sp := telemetry.Default().Start(context.TODO(), "features/extract")
 	parallel.ForChunked(len(idxs), 0, func(lo, hi int) {
 		nbBuf := make([]kdtree.Neighbor, 0, e.cfg.K)
 		for i := lo; i < hi; i++ {
@@ -451,7 +452,7 @@ func (t *TrainingSet) GradientWeights(floor float64) []float64 {
 // training time).
 func Build(cfg Config, truth *grid.Volume, cloud *pointcloud.Cloud, voidIdxs []int, norm *Normalizer) (*TrainingSet, error) {
 	reg := telemetry.Default()
-	sp := reg.StartSpan("features/build")
+	_, sp := reg.Start(context.TODO(), "features/build")
 	defer sp.End()
 	ex, err := NewExtractor(cfg, cloud, norm)
 	if err != nil {

@@ -578,10 +578,10 @@ func (m *Manager) run(j *job) {
 		return
 	}
 
-	sp := m.tel.StartSpan("jobs.train")
+	tctx, sp := m.tel.Start(ctx, "jobs.train")
 	m.tel.Gauge("jobs.running").Add(1)
 	start := time.Now()
-	modelID, err := m.train(ctx, j, id, spec)
+	modelID, err := m.train(tctx, j, id, spec)
 	m.tel.Gauge("jobs.running").Add(-1)
 	sp.End()
 	m.tel.Histogram("jobs.train.seconds", nil).Observe(time.Since(start).Seconds())

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"fillvoid/internal/telemetry"
-	"fillvoid/internal/trace"
 )
 
 // loopRecord accumulates one parallel loop invocation's utilization
@@ -226,11 +225,7 @@ func ForChunkedCtx(ctx context.Context, n, workers int, fn func(start, end int) 
 		tile = 1
 	}
 	rec := startLoop("parallel.for_ctx", workers)
-	// Capture the caller's ambient span before fanning out: worker
-	// goroutines have their own (empty) ambient stacks, so each worker
-	// parents an explicit child here and per-tile spans nest under it.
-	// All of this is nil no-ops when tracing is off.
-	tparent := trace.Ambient(ctx)
+	reg := telemetry.Default()
 	loopCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (
@@ -242,7 +237,7 @@ func ForChunkedCtx(ctx context.Context, n, workers int, fn func(start, end int) 
 	body := func() {
 		ws := rec.workerStart()
 		defer rec.workerDone(ws)
-		wsp := tparent.StartChild("parallel/worker")
+		wctx, wsp := reg.Start(loopCtx, "parallel/worker")
 		defer wsp.End()
 		for {
 			if loopCtx.Err() != nil {
@@ -256,7 +251,7 @@ func ForChunkedCtx(ctx context.Context, n, workers int, fn func(start, end int) 
 			if end > n {
 				end = n
 			}
-			csp := wsp.StartChild("parallel/chunk")
+			_, csp := reg.Start(wctx, "parallel/chunk")
 			csp.SetAttr("start", strconv.Itoa(start))
 			csp.SetAttr("end", strconv.Itoa(end))
 			err := fn(start, end)

@@ -68,7 +68,7 @@ func ReconstructCloud(ctx context.Context, m Reconstructor, c *pointcloud.Cloud,
 }
 
 func execute(ctx context.Context, m Reconstructor, p *Plan, region Region, dst []float64) error {
-	sp := telemetry.Default().StartSpan("recon/execute")
+	ctx, sp := telemetry.Default().Start(ctx, "recon/execute")
 	defer sp.End()
 	if t := telemetry.Default(); t.Enabled() {
 		t.Counter("recon.execute.runs").Inc()

@@ -50,7 +50,7 @@ type memoEntry struct {
 // nearest table) are built lazily on first use, so a plan is cheap until
 // a reconstructor actually needs them.
 func NewPlan(c *pointcloud.Cloud, spec GridSpec) (*Plan, error) {
-	sp := telemetry.Default().StartSpan("recon/plan-build")
+	_, sp := telemetry.Default().Start(context.TODO(), "recon/plan-build")
 	defer sp.End()
 	if err := c.Validate(); err != nil {
 		return nil, err

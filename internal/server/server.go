@@ -18,9 +18,10 @@
 //
 // Every request is traced: the handler opens a root span (continuing
 // the caller's W3C traceparent when one is sent, and echoing the trace
-// ID back in the response's traceparent header), the telemetry bridge
-// attaches plan-build / execute / cache events underneath it, and the
-// completed tree lands in the tracer's tail-sampled ring. Each request
+// ID back in the response's traceparent header) and carries it in the
+// request context, so the telemetry spans of the stages that context
+// reaches — plan cache, execute, parallel workers — nest underneath it,
+// and the completed tree lands in the tracer's ring. Each request
 // also gets an X-Request-ID (stamped into error bodies and the access
 // log) and one structured access-log line.
 //
@@ -101,8 +102,7 @@ type Config struct {
 	// global registry).
 	Telemetry *telemetry.Registry
 	// Tracer receives per-request trace trees (default: the process
-	// global tracer). New enables it and bridges Telemetry's spans into
-	// it, so serving always collects traces.
+	// global tracer). New enables it, so serving always collects traces.
 	Tracer *trace.Tracer
 	// Cluster, when set, makes this server one replica of a multi-replica
 	// serving cluster (see internal/cluster): plan keys route by
@@ -244,18 +244,14 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.jobs = jm
 	}
-	// Serving without traces is flying blind: turn the tracer on and
-	// bridge the engine's telemetry spans into it so every request tree
-	// includes plan build, cache, and execute stages.
+	// Serving without traces is flying blind: turn the tracer on. The
+	// engine (recon, parallel, core) opens its spans on the
+	// process-global registry, not the injected one, and a disabled
+	// registry opens none; enable it too, or a server handed its own
+	// registry would serve traces with no execute stages in them.
 	s.tracer.SetEnabled(true)
-	trace.Install(s.tracer, s.tel)
-	// The engine (recon, parallel, nn) records into the process-global
-	// registry, not the injected one. Bridge and enable it as well, or
-	// a server handed its own registry would serve traces with no
-	// plan-build or execute stages in them.
 	if def := telemetry.Default(); def != s.tel {
 		def.SetEnabled(true)
-		trace.Install(s.tracer, def)
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/reconstruct", s.instrument("reconstruct", s.handleReconstruct))
@@ -677,7 +673,7 @@ func (s *Server) handleReconstruct(w http.ResponseWriter, r *http.Request) {
 	// The plan build runs singleflighted and unslotted: concurrent
 	// first requests for one key coalesce onto a single recon.NewPlan,
 	// and an expensive build never pins an execution slot.
-	_, psp := trace.Start(ctx, "server/plan-cache")
+	_, psp := s.tel.Start(ctx, "server/plan-cache")
 	plan, cached, err := s.plans.getOrBuild(key, cloud, spec)
 	if err != nil {
 		psp.SetError(err.Error())

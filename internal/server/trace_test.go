@@ -88,9 +88,9 @@ func TestTraceparentRoundTripAndDebugTraces(t *testing.T) {
 	if root.ParentID != parentSpan {
 		t.Fatal("server root must parent under the upstream span id")
 	}
-	// The bridge + parallel fan-out must give at least 4 nesting
-	// levels: server root -> recon/execute -> parallel/worker ->
-	// parallel/chunk.
+	// Spans carried on the request ctx through the parallel fan-out
+	// must give at least 4 nesting levels: server root -> recon/execute
+	// -> parallel/worker -> parallel/chunk.
 	depth := maxDepth(td)
 	if depth < 4 {
 		t.Fatalf("trace depth %d, want >= 4; spans: %v", depth, spanNames(td))
@@ -99,7 +99,7 @@ func TestTraceparentRoundTripAndDebugTraces(t *testing.T) {
 		t.Fatalf("no plan-cache span; spans: %v", spanNames(td))
 	}
 	if _, ok := names["recon/execute"]; !ok {
-		t.Fatalf("bridged execute span missing; spans: %v", spanNames(td))
+		t.Fatalf("execute span missing; spans: %v", spanNames(td))
 	}
 
 	// /debug/traces serves the ring: the index lists the trace, and the
@@ -138,6 +138,57 @@ func TestTraceparentRoundTripAndDebugTraces(t *testing.T) {
 	}
 	if len(ct.TraceEvents) != len(td.Spans) {
 		t.Fatalf("chrome export has %d events, trace has %d spans", len(ct.TraceEvents), len(td.Spans))
+	}
+}
+
+// Two servers in one process, each with its own tracer: each server's
+// request tree must hold the engine stages its request ran, with
+// recon/execute between the root and the parallel workers.
+func TestTwoServersKeepOwnTraceTrees(t *testing.T) {
+	tracers := []*trace.Tracer{trace.New(trace.Config{}), trace.New(trace.Config{})}
+	var bases []string
+	for _, tr := range tracers {
+		_, base := startServer(t, Config{Tracer: tr})
+		bases = append(bases, base)
+	}
+	for i, tr := range tracers {
+		resp := postTraced(t, bases[i]+"/v1/reconstruct", &ReconstructRequest{
+			Method: "linear",
+			Cloud:  testCloud(200, 7),
+			Grid:   testGrid(),
+		}, "")
+		io.Copy(io.Discard, resp.Body) //lint:allow errdrop: draining a test response body
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("server %d: status %d", i, resp.StatusCode)
+		}
+		tid, _, _, err := trace.ParseTraceparent(resp.Header.Get("traceparent"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		td := tr.TraceByID(tid)
+		if td == nil {
+			t.Fatalf("server %d kept no trace for its request", i)
+		}
+		if depth := maxDepth(td); depth < 4 {
+			t.Fatalf("server %d: trace depth %d, want >= 4; spans: %v", i, depth, spanNames(td))
+		}
+		byID := map[trace.SpanID]trace.SpanRecord{}
+		for _, sp := range td.Spans {
+			byID[sp.SpanID] = sp
+		}
+		workers := 0
+		for _, sp := range td.Spans {
+			if sp.Name != "parallel/worker" {
+				continue
+			}
+			workers++
+			if p := byID[sp.ParentID]; p.Name != "recon/execute" {
+				t.Fatalf("server %d: parallel/worker hangs off %q, want recon/execute", i, p.Name)
+			}
+		}
+		if workers == 0 {
+			t.Fatalf("server %d: no parallel/worker span; spans: %v", i, spanNames(td))
+		}
 	}
 }
 

@@ -153,7 +153,7 @@ func (p *Pipeline) Step(truth *grid.Volume, t int) (StepReport, error) {
 // ctx is cancelled.
 func (p *Pipeline) StepCtx(ctx context.Context, truth *grid.Volume, t int) (StepReport, error) {
 	reg := p.telemetry()
-	stepSp := reg.StartSpan("pipeline/step")
+	ctx, stepSp := reg.Start(ctx, "pipeline/step")
 	defer stepSp.End()
 	rep := StepReport{Timestep: t}
 	sampler := &sampling.Importance{Seed: p.cfg.SamplerSeed + int64(t)*911}
@@ -179,39 +179,15 @@ func (p *Pipeline) StepCtx(ctx context.Context, truth *grid.Volume, t int) (Step
 	// model's own stage timer — the same measurement core's
 	// pretrain/finetune telemetry spans record — rather than a second
 	// clock around the call, so report and telemetry cannot drift.
-	trainSp := stepSp.Child("train")
+	// Start rather than stepSp.Child: training takes the returned ctx,
+	// so its own spans nest under this one in a trace.
+	trainCtx, trainSp := reg.Start(ctx, "pipeline/step/train")
 	first := p.model == nil
-	if p.cfg.CheckpointDir != "" {
-		ck, err := p.stepCheckpointing(t)
-		if err != nil {
-			trainSp.End()
-			return rep, err
-		}
-		if first {
-			model, err := core.PretrainResumable(ctx, truth, p.cfg.FieldName, sampler, p.cfg.Options, ck)
-			if err != nil {
-				trainSp.End()
-				return rep, err
-			}
-			p.model = model
-		} else if err := p.model.FineTuneResumable(ctx, truth, sampler, p.cfg.Mode, p.cfg.FineTuneEpochs, ck); err != nil {
-			trainSp.End()
-			return rep, err
-		}
-	} else if first {
-		model, err := core.Pretrain(truth, p.cfg.FieldName, sampler, p.cfg.Options)
-		if err != nil {
-			trainSp.End()
-			return rep, err
-		}
-		p.model = model
-	} else {
-		if err := p.model.FineTune(truth, sampler, p.cfg.Mode, p.cfg.FineTuneEpochs); err != nil {
-			trainSp.End()
-			return rep, err
-		}
-	}
+	err = p.train(trainCtx, truth, t, sampler)
 	trainSp.End()
+	if err != nil {
+		return rep, err
+	}
 	rep.TrainTime, _ = p.model.Timings()
 
 	// 3. Storage for model state.
@@ -243,14 +219,14 @@ func (p *Pipeline) StepCtx(ctx context.Context, truth *grid.Volume, t int) (Step
 		p.out.Origin = spec.Origin
 		p.out.Spacing = spec.Spacing
 	}
-	reconSp := stepSp.Child("reconstruct")
+	reconCtx, reconSp := reg.Start(ctx, "pipeline/step/reconstruct")
 	plan, err := recon.NewPlan(cloud, spec)
 	if err != nil {
 		reconSp.End()
 		return rep, err
 	}
 	reconStart := time.Now()
-	err = recon.ReconstructInto(ctx, m, plan, recon.Full(spec), p.out)
+	err = recon.ReconstructInto(reconCtx, m, plan, recon.Full(spec), p.out)
 	reconSp.End()
 	if err != nil {
 		return rep, err
@@ -277,10 +253,32 @@ func (p *Pipeline) StepCtx(ctx context.Context, truth *grid.Volume, t int) (Step
 	return rep, nil
 }
 
+// train pretrains the first model or fine-tunes the current one on
+// truth, checkpointing per timestep when CheckpointDir is set.
+func (p *Pipeline) train(ctx context.Context, truth *grid.Volume, t int, sampler sampling.Sampler) error {
+	ck, err := p.stepCheckpointing(t)
+	if err != nil {
+		return err
+	}
+	if p.model != nil {
+		return p.model.FineTuneResumable(ctx, truth, sampler, p.cfg.Mode, p.cfg.FineTuneEpochs, ck)
+	}
+	model, err := core.PretrainResumable(ctx, truth, p.cfg.FieldName, sampler, p.cfg.Options, ck)
+	if err != nil {
+		return err
+	}
+	p.model = model
+	return nil
+}
+
 // stepCheckpointing builds the per-timestep checkpoint configuration:
 // one subdirectory per timestep (each training run owns its directory),
-// always resuming — a fresh directory is a normal cold start.
+// always resuming — a fresh directory is a normal cold start. Without a
+// CheckpointDir it is the zero Checkpointing: no checkpoints.
 func (p *Pipeline) stepCheckpointing(t int) (core.Checkpointing, error) {
+	if p.cfg.CheckpointDir == "" {
+		return core.Checkpointing{}, nil
+	}
 	m, err := checkpoint.NewManager(checkpoint.Config{
 		Dir:       filepath.Join(p.cfg.CheckpointDir, fmt.Sprintf("t%04d", t)),
 		Keep:      p.cfg.CheckpointKeep,

@@ -4,6 +4,8 @@ import (
 	"flag"
 	"fmt"
 	"time"
+
+	"fillvoid/internal/trace"
 )
 
 // Flags bundles the standard observability CLI flags shared by the
@@ -12,14 +14,17 @@ import (
 //	-log-level <debug|info|warn|error|off>   structured stderr logging
 //	-metrics-out <file.json>                 write a telemetry snapshot on exit
 //	-pprof <addr>                            serve /metrics, expvar and pprof
+//	-trace-out <file.json>                   collect traces and write them
+//	                                         as Chrome trace-event JSON on exit
 //
 // Register with RegisterFlags before fs.Parse, then call Start after;
-// the returned stop function flushes the snapshot and shuts the server
-// down.
+// the returned stop function flushes the snapshot and the trace file
+// and shuts the server down.
 type Flags struct {
 	LogLevel   string
 	MetricsOut string
 	PprofAddr  string
+	TraceOut   string
 }
 
 // RegisterFlags installs the telemetry flags on a FlagSet.
@@ -28,14 +33,16 @@ func RegisterFlags(fs *flag.FlagSet) *Flags {
 	fs.StringVar(&f.LogLevel, "log-level", "warn", "log level: debug, info, warn, error, off")
 	fs.StringVar(&f.MetricsOut, "metrics-out", "", "write a telemetry JSON snapshot to this file on exit")
 	fs.StringVar(&f.PprofAddr, "pprof", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. localhost:6060)")
+	fs.StringVar(&f.TraceOut, "trace-out", "", "write collected traces as Chrome trace-event JSON (Perfetto) to this file on exit")
 	return f
 }
 
 // Start applies the parsed flags: sets the log level, enables the
 // default registry when any output is requested (plus a 1s runtime
 // sampler feeding heap/GC/goroutine/sched-latency metrics into it),
-// and starts the HTTP server when -pprof is given. The returned stop
-// function writes the -metrics-out snapshot (if any), stops the
+// enables the default tracer for -trace-out, and starts the HTTP
+// server when -pprof is given. The returned stop function writes the
+// -metrics-out snapshot and the -trace-out file (if any), stops the
 // sampler and closes the server; call it once, after the command's
 // work is done.
 func (f *Flags) Start() (stop func() error, err error) {
@@ -49,6 +56,12 @@ func (f *Flags) Start() (stop func() error, err error) {
 	if f.MetricsOut != "" || f.PprofAddr != "" {
 		Enable()
 		sampler = StartRuntimeSampler(Default(), time.Second)
+	}
+	if f.TraceOut != "" {
+		// Trace records are written by telemetry spans, so tracing
+		// needs the registry on too.
+		Enable()
+		trace.Enable()
 	}
 	if f.PprofAddr != "" {
 		srv, err = Serve(f.PprofAddr, Default())
@@ -67,6 +80,16 @@ func (f *Flags) Start() (stop func() error, err error) {
 				firstErr = err
 			} else {
 				Infof("wrote telemetry snapshot", "path", f.MetricsOut)
+			}
+		}
+		if f.TraceOut != "" {
+			traces := trace.Default().Traces()
+			if err := trace.WriteChromeFile(f.TraceOut, traces); err != nil {
+				if firstErr == nil {
+					firstErr = err
+				}
+			} else {
+				Infof("wrote trace file", "path", f.TraceOut, "traces", len(traces))
 			}
 		}
 		if srv != nil {

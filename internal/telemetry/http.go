@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"sync"
+
+	"fillvoid/internal/trace"
 )
 
 // Server exposes a registry over HTTP for live inspection:
@@ -13,6 +15,7 @@ import (
 //	/metrics        JSON snapshot of the registry
 //	/debug/vars     expvar (includes the fillvoid.telemetry var)
 //	/debug/pprof/   the full net/http/pprof index (profile, heap, ...)
+//	/debug/traces   the default tracer's kept traces
 //
 // Construct with Serve; Close releases the listener.
 type Server struct {
@@ -41,31 +44,11 @@ func MetricsHandler(reg *Registry) http.Handler {
 	})
 }
 
-// debugExtra holds handlers other packages contribute to every debug
-// mux (see RegisterDebugHandler).
-var (
-	debugExtraMu sync.Mutex
-	debugExtra   = map[string]http.Handler{}
-)
-
-// RegisterDebugHandler adds an extra endpoint that every subsequent
-// RegisterDebug call mounts alongside the standard debug routes. It is
-// the hook packages layered above telemetry (internal/trace's
-// /debug/traces) use to appear on every debug mux — the -pprof server
-// and the reconstruction service alike — without telemetry importing
-// them. Registering the same pattern again replaces the handler; muxes
-// built before the call are unaffected.
-func RegisterDebugHandler(pattern string, h http.Handler) {
-	debugExtraMu.Lock()
-	defer debugExtraMu.Unlock()
-	debugExtra[pattern] = h
-}
-
 // RegisterDebug mounts the standard debug endpoints on mux —
-// /debug/vars (expvar, including the fillvoid.telemetry var) and the
-// full /debug/pprof/ index — publishing the expvar exactly once per
-// process no matter how many servers register. Endpoints contributed
-// via RegisterDebugHandler are mounted too.
+// /debug/vars (expvar, including the fillvoid.telemetry var), the full
+// /debug/pprof/ index and /debug/traces for the process default tracer
+// — publishing the expvar exactly once per process no matter how many
+// servers register.
 func RegisterDebug(mux *http.ServeMux) {
 	publishOnce.Do(func() {
 		expvar.Publish("fillvoid.telemetry", expvar.Func(func() any {
@@ -78,11 +61,7 @@ func RegisterDebug(mux *http.ServeMux) {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	debugExtraMu.Lock()
-	defer debugExtraMu.Unlock()
-	for pattern, h := range debugExtra {
-		mux.Handle(pattern, h)
-	}
+	mux.Handle("/debug/traces", trace.Handler(nil))
 }
 
 // Serve starts an HTTP server on addr (use "127.0.0.1:0" for an

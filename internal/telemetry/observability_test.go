@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"sync"
 	"testing"
 	"time"
 )
@@ -61,67 +60,6 @@ func TestSpanQuantileReservoirBounded(t *testing.T) {
 	}
 }
 
-// recordingObserver captures SpanStarted/SpanEnded callbacks.
-type recordingObserver struct {
-	mu      sync.Mutex
-	started []string
-	ended   []string
-	durs    []time.Duration
-}
-
-func (o *recordingObserver) SpanStarted(path string) any {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.started = append(o.started, path)
-	return path + "-token"
-}
-
-func (o *recordingObserver) SpanEnded(token any, path string, start time.Time, d time.Duration) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if token != path+"-token" {
-		o.ended = append(o.ended, "BAD TOKEN "+path)
-		return
-	}
-	o.ended = append(o.ended, path)
-	o.durs = append(o.durs, d)
-}
-
-func TestSpanObserverHook(t *testing.T) {
-	r := NewRegistry()
-	obs := &recordingObserver{}
-	r.SetSpanObserver(obs)
-
-	sp := r.StartSpan("outer")
-	child := sp.Child("inner")
-	child.End()
-	sp.End()
-
-	obs.mu.Lock()
-	started, ended := append([]string(nil), obs.started...), append([]string(nil), obs.ended...)
-	obs.mu.Unlock()
-	if len(started) != 2 || started[0] != "outer" || started[1] != "outer/inner" {
-		t.Fatalf("started = %v", started)
-	}
-	if len(ended) != 2 || ended[0] != "outer/inner" || ended[1] != "outer" {
-		t.Fatalf("ended = %v (tokens must round-trip)", ended)
-	}
-
-	// Clearing the observer stops callbacks; spans still record.
-	r.SetSpanObserver(nil)
-	sp2 := r.StartSpan("quiet")
-	sp2.End()
-	obs.mu.Lock()
-	n := len(obs.started)
-	obs.mu.Unlock()
-	if n != 2 {
-		t.Fatal("cleared observer still invoked")
-	}
-	if r.Snapshot().Spans["quiet"].Count != 1 {
-		t.Fatal("span not recorded after observer cleared")
-	}
-}
-
 func TestMetricsHandler(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("requests").Add(3)
@@ -143,19 +81,21 @@ func TestMetricsHandler(t *testing.T) {
 }
 
 func TestRegisterDebugHandler(t *testing.T) {
-	called := false
-	RegisterDebugHandler("/debug/test-extra", http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		called = true
-		w.WriteHeader(http.StatusTeapot)
-	}))
 	mux := http.NewServeMux()
 	RegisterDebug(mux)
+	// /debug/traces serves the default tracer's index.
 	rec := httptest.NewRecorder()
-	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/test-extra", nil))
-	if !called || rec.Code != http.StatusTeapot {
-		t.Fatalf("extra debug handler not mounted: called=%v code=%d", called, rec.Code)
+	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/traces", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/debug/traces status %d", rec.Code)
 	}
-	// pprof stays mounted alongside.
+	var idx struct {
+		Traces []json.RawMessage `json:"traces"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &idx); err != nil || idx.Traces == nil {
+		t.Fatalf("/debug/traces is not a trace index: %v %s", err, rec.Body.Bytes())
+	}
+	// pprof is mounted alongside.
 	rec = httptest.NewRecorder()
 	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/pprof/cmdline", nil))
 	if rec.Code != http.StatusOK {

@@ -1,9 +1,12 @@
 package telemetry
 
 import (
+	"context"
 	"sort"
 	"sync"
 	"time"
+
+	"fillvoid/internal/trace"
 )
 
 // spanReservoirSize is the per-path sample cap for quantile tracking:
@@ -106,68 +109,45 @@ func (s *SpanStat) Last() time.Duration {
 	return s.last
 }
 
-// SpanObserver receives begin/end events for every span recorded in a
-// registry. It is the seam the distributed tracer (internal/trace)
-// hangs off: installing an observer upgrades every existing StartSpan
-// call site into a per-request trace event source without touching the
-// instrumented code. The token returned by SpanStarted is handed back
-// verbatim to SpanEnded, so an observer can correlate the pair without
-// its own bookkeeping; implementations must tolerate a nil token (a
-// span started before the observer was installed).
-type SpanObserver interface {
-	SpanStarted(path string) (token any)
-	SpanEnded(token any, path string, start time.Time, d time.Duration)
-}
-
-// spanObsBox wraps the observer so the registry can swap it atomically
-// (atomic.Pointer needs a concrete element type).
-type spanObsBox struct{ obs SpanObserver }
-
-// SetSpanObserver installs (or, with nil, removes) the registry's span
-// observer. At most one observer is active; installing replaces the
-// previous one. Spans already in flight keep their original token (nil
-// if none), so a mid-flight swap never mismatches begin/end pairs.
-func (r *Registry) SetSpanObserver(obs SpanObserver) {
-	if obs == nil {
-		r.spanObs.Store(nil)
-		return
-	}
-	r.spanObs.Store(&spanObsBox{obs: obs})
-}
-
 // Span is one in-flight timed stage. Spans carry a hierarchical label
 // path ("pretrain/feature-build"); children created with Child extend
-// the path. A nil Span (what a disabled registry hands out) is a valid
-// no-op, so instrumentation sites never branch.
+// the path. When the span was started under a live trace it also owns
+// that trace's record of the stage, so /metrics and the trace tree
+// report the same start and duration. A nil Span (what a disabled
+// registry hands out) is a valid no-op, so instrumentation sites never
+// branch.
 type Span struct {
 	r     *Registry
 	path  string
 	start time.Time
-	token any
+	trace *trace.Span
 }
 
-// StartSpan begins a named stage timer. When the registry is disabled
-// it returns nil, whose methods are all no-ops.
-func (r *Registry) StartSpan(path string) *Span {
+// Start begins a stage timer labelled path. When ctx carries a live trace
+// span, the stage is also recorded in that trace as its child, and the
+// returned context carries the stage's trace span so spans started
+// under it nest there. Without a trace the context is returned as is.
+// A disabled registry returns (ctx, nil); nil spans no-op everywhere.
+func (r *Registry) Start(ctx context.Context, path string) (context.Context, *Span) {
 	if !r.enabled.Load() {
-		return nil
+		return ctx, nil
 	}
 	s := &Span{r: r, path: path, start: time.Now()}
-	if box := r.spanObs.Load(); box != nil {
-		s.token = box.obs.SpanStarted(path)
+	if parent := trace.FromContext(ctx); parent != nil {
+		s.trace = parent.StartChild(path, s.start)
+		ctx = trace.ContextWith(ctx, s.trace)
 	}
-	return s
+	return ctx, s
 }
 
-// Child begins a nested span labelled parent-path/name.
+// Child begins a nested span labelled parent-path/name. Its trace
+// parent, if any, is s.
 func (s *Span) Child(name string) *Span {
 	if s == nil {
 		return nil
 	}
 	c := &Span{r: s.r, path: s.path + "/" + name, start: time.Now()}
-	if box := s.r.spanObs.Load(); box != nil {
-		c.token = box.obs.SpanStarted(c.path)
-	}
+	c.trace = s.trace.StartChild(c.path, c.start)
 	return c
 }
 
@@ -179,17 +159,33 @@ func (s *Span) Path() string {
 	return s.path
 }
 
-// End stops the span, records its duration under the label path, and
-// returns the elapsed time (0 for nil).
+// SetAttr annotates the span's trace record (no-op without a trace).
+func (s *Span) SetAttr(key, value string) {
+	if s == nil {
+		return
+	}
+	s.trace.SetAttr(key, value)
+}
+
+// SetError marks the span's trace record as failed (no-op without a
+// trace).
+func (s *Span) SetError(msg string) {
+	if s == nil {
+		return
+	}
+	s.trace.SetError(msg)
+}
+
+// End stops the span, records its duration under the label path and,
+// under a trace, in the trace record; it returns the elapsed time (0
+// for nil).
 func (s *Span) End() time.Duration {
 	if s == nil {
 		return 0
 	}
 	d := time.Since(s.start)
 	s.r.spanStat(s.path).record(d)
-	if box := s.r.spanObs.Load(); box != nil {
-		box.obs.SpanEnded(s.token, s.path, s.start, d)
-	}
+	s.trace.EndWith(d)
 	return d
 }
 
@@ -216,12 +212,4 @@ func (r *Registry) SpanStatFor(path string) *SpanStat {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.spans[path]
-}
-
-// Time runs fn under a span with the given path and returns fn's
-// duration; sugar for the Start/End pair when the stage is a closure.
-func (r *Registry) Time(path string, fn func()) time.Duration {
-	sp := r.StartSpan(path)
-	fn()
-	return sp.End()
 }

@@ -1,16 +1,24 @@
 // Package telemetry is the observability layer for the fillvoid
-// pipeline: a dependency-free (stdlib-only) metrics registry with
-// atomic counters, gauges and bucketed histograms; a Span/Timer API for
-// named stage timing with hierarchical labels ("pretrain/feature-build",
-// "reconstruct/knn-table", ...); a TrainObserver hook delivering
-// per-epoch training statistics; JSON snapshot export; and an optional
-// HTTP server exposing /metrics (JSON + expvar) and net/http/pprof.
+// pipeline: a stdlib-only metrics registry with atomic counters, gauges
+// and bucketed histograms; a Span API for named stage timing with
+// hierarchical labels ("pretrain/feature-build", "reconstruct/knn-query",
+// ...); a TrainObserver hook delivering per-epoch training statistics;
+// JSON snapshot export; and an optional HTTP server exposing /metrics
+// (JSON + expvar), net/http/pprof and /debug/traces.
+//
+// Stage code opens spans with Registry.Start(ctx, path) or Span.Child.
+// Ending a span records its duration in the registry's per-path
+// aggregate and, when ctx carried a live trace (internal/trace, the only
+// module package this one imports), in that trace with the same start
+// and duration. The trace parent comes from ctx alone, or for Child
+// from the span it is called on, so a stage reached without a traced
+// ctx shows in /metrics but not in any trace tree.
 //
 // The package is designed to be opt-in-cheap: the global default
 // registry starts disabled, and every instrumentation site in the hot
 // paths (parallel loops, reconstruction batches, training epochs) pays
 // only a single atomic load when telemetry is off. Enable() — or the
-// -metrics-out / -pprof CLI flags — turns collection on.
+// -metrics-out / -pprof / -trace-out CLI flags — turns collection on.
 //
 // Instrumented library code records into the swappable default registry
 // (Default / SetDefault); tests and embedders that need isolation
@@ -31,7 +39,6 @@ import (
 // (disabled until Enable).
 type Registry struct {
 	enabled atomic.Bool
-	spanObs atomic.Pointer[spanObsBox]
 
 	mu       sync.RWMutex
 	counters map[string]*Counter

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -14,6 +15,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"fillvoid/internal/trace"
 )
 
 func TestCounterConcurrent(t *testing.T) {
@@ -117,7 +120,7 @@ func TestDisabledRegistryHandsOutNoOps(t *testing.T) {
 	if h := r.Histogram("h", nil); h != nil {
 		t.Fatal("disabled registry returned a live histogram")
 	}
-	if sp := r.StartSpan("s"); sp != nil {
+	if ctx, sp := r.Start(context.Background(), "s"); sp != nil || ctx != context.Background() {
 		t.Fatal("disabled registry returned a live span")
 	}
 	if tr := r.Train("t"); tr != nil {
@@ -149,7 +152,7 @@ func TestDisabledRegistryHandsOutNoOps(t *testing.T) {
 
 func TestSpanNesting(t *testing.T) {
 	r := NewRegistry()
-	root := r.StartSpan("pretrain")
+	root := span(r, "pretrain")
 	child := root.Child("feature-build")
 	grand := child.Child("knn")
 	if got := grand.Path(); got != "pretrain/feature-build/knn" {
@@ -173,7 +176,7 @@ func TestSpanNesting(t *testing.T) {
 		}
 	}
 	// A second completion under the same path aggregates.
-	r.StartSpan("pretrain").End()
+	span(r, "pretrain").End()
 	if got := r.SpanStatFor("pretrain").Count(); got != 2 {
 		t.Fatalf("aggregated count = %d", got)
 	}
@@ -188,35 +191,13 @@ func TestSpanConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				r.StartSpan("stage").Child("inner").End()
+				span(r, "stage").Child("inner").End()
 			}
 		}()
 	}
 	wg.Wait()
 	if got := r.SpanStatFor("stage/inner").Count(); got != workers*perWorker {
 		t.Fatalf("count = %d, want %d", got, workers*perWorker)
-	}
-}
-
-func TestTimeHelper(t *testing.T) {
-	r := NewRegistry()
-	ran := false
-	d := r.Time("work", func() { ran = true })
-	if !ran {
-		t.Fatal("fn not called")
-	}
-	if d <= 0 {
-		t.Fatalf("duration = %v", d)
-	}
-	if r.SpanStatFor("work") == nil {
-		t.Fatal("span not recorded")
-	}
-	// Disabled: fn still runs, nothing recorded.
-	r.SetEnabled(false)
-	ran = false
-	r.Time("work2", func() { ran = true })
-	if !ran {
-		t.Fatal("fn skipped when disabled")
 	}
 }
 
@@ -264,7 +245,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	h.Observe(0.5)
 	h.Observe(5)
 	h.Observe(50)
-	r.StartSpan("stage").End()
+	span(r, "stage").End()
 	r.Train("fit").ObserveEpoch(EpochStat{Epoch: 0, Loss: 0.5, LearningRate: 1e-3, Examples: 100, TrainableParams: 10, DurationNS: 5})
 
 	s := r.Snapshot()
@@ -481,7 +462,7 @@ func TestSnapshotWhileHammered(t *testing.T) {
 				}
 				r.Counter(fmt.Sprintf("c%d", w%2)).Inc()
 				r.Histogram("h", nil).Observe(float64(i % 7))
-				r.StartSpan("s").End()
+				span(r, "s").End()
 			}
 		}(w)
 	}
@@ -527,9 +508,11 @@ func BenchmarkCounterEnabled(b *testing.B) {
 func BenchmarkSpanDisabled(b *testing.B) {
 	r := NewRegistry()
 	r.SetEnabled(false)
+	ctx := context.Background()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r.StartSpan("hot").End()
+		_, sp := r.Start(ctx, "hot")
+		sp.End()
 	}
 }
 
@@ -537,8 +520,28 @@ func BenchmarkSpanEnabled(b *testing.B) {
 	r := NewRegistry()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r.StartSpan("hot").End()
+		span(r, "hot").End()
 	}
+}
+
+// BenchmarkSpanTraced is a span started from a ctx carrying a live
+// trace: the aggregate plus a child record in the trace.
+func BenchmarkSpanTraced(b *testing.B) {
+	r := NewRegistry()
+	ctx, root := trace.New(trace.Config{}).Start(context.Background(), "root")
+	defer root.End()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, sp := r.Start(ctx, "hot")
+		sp.End()
+	}
+}
+
+// span starts a span with no trace, for tests about the aggregate.
+func span(r *Registry, path string) *Span {
+	_, sp := r.Start(context.Background(), path)
+	return sp
 }
 
 // Keep package-level log lines out of test output.

@@ -3,15 +3,7 @@ package trace
 import (
 	"encoding/json"
 	"net/http"
-
-	"fillvoid/internal/telemetry"
 )
-
-func init() {
-	// Any process that mounts telemetry's debug routes (fillvoid serve,
-	// -pprof on the CLIs) gets /debug/traces for free.
-	telemetry.RegisterDebugHandler("/debug/traces", Handler(nil))
-}
 
 // traceSummary is one row of the /debug/traces index.
 type traceSummary struct {
@@ -31,7 +23,6 @@ type tracesIndex struct {
 	Enabled bool           `json:"enabled"`
 	Started int64          `json:"started"`
 	Kept    int64          `json:"kept"`
-	Dropped int64          `json:"dropped"`
 	Traces  []traceSummary `json:"traces"`
 }
 
@@ -73,12 +64,11 @@ func Handler(t *Tracer) http.Handler {
 			return
 		}
 		traces := tr.Traces()
-		started, kept, dropped := tr.Stats()
+		started, kept := tr.Stats()
 		idx := tracesIndex{
 			Enabled: tr.Enabled(),
 			Started: started,
 			Kept:    kept,
-			Dropped: dropped,
 			Traces:  make([]traceSummary, 0, len(traces)),
 		}
 		for _, td := range traces {

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"context"
-	"runtime"
 	"sync"
 	"time"
 )
@@ -84,8 +83,6 @@ type Span struct {
 	parent SpanID
 	name   string
 	start  time.Time
-	goid   uint64
-	prev   *Span
 
 	mu     sync.Mutex
 	attrs  []Attr
@@ -130,7 +127,7 @@ func (s *Span) SetAttr(key, value string) {
 }
 
 // SetError marks the span (and, for a root, the whole trace) as
-// failed; error traces are always kept by the tail sampler.
+// failed; a trace whose root failed is labelled "error" in the ring.
 func (s *Span) SetError(msg string) {
 	if s == nil || msg == "" {
 		return
@@ -141,20 +138,23 @@ func (s *Span) SetError(msg string) {
 }
 
 // End completes the span: the record lands in its trace, and if this
-// span is the trace root the tail-sampling decision runs. End is
-// idempotent; only the first call records.
+// span is the trace root the trace is stored in the tracer's ring. End
+// is idempotent; only the first call records.
 func (s *Span) End() {
 	if s == nil {
 		return
 	}
-	d := time.Since(s.start)
-	s.endWith(d)
+	s.EndWith(time.Since(s.start))
 }
 
-// endWith completes the span with an externally measured duration (the
-// telemetry bridge reuses telemetry's own timing so both systems agree
-// to the nanosecond).
-func (s *Span) endWith(d time.Duration) {
+// EndWith completes the span with an externally measured duration, so a
+// caller that timed the stage itself (internal/telemetry's spans) puts
+// exactly its own start and duration in the trace. nil-safe and
+// idempotent like End.
+func (s *Span) EndWith(d time.Duration) {
+	if s == nil {
+		return
+	}
 	s.mu.Lock()
 	if s.ended {
 		s.mu.Unlock()
@@ -172,24 +172,19 @@ func (s *Span) endWith(d time.Duration) {
 	}
 	s.mu.Unlock()
 
-	s.t.pop(s)
 	if isRoot := s.tr.record(rec, s.t.cfg.MaxSpans); isRoot {
 		s.t.finish(s.tr, rec)
 	}
 }
 
-// StartChild begins a child span on the calling goroutine, making it
-// that goroutine's ambient current span until End. This is the
-// fan-out primitive: a parallel loop starts one child per worker so
-// events from instrumented code inside the worker attribute to the
-// right subtree. nil-safe.
-func (s *Span) StartChild(name string) *Span {
-	if s == nil || s.t == nil || !s.t.enabled.Load() {
+// StartChild begins a child span that started at start. Children may
+// be started and ended on any goroutine; the parent is always s. A nil
+// span or a disabled tracer returns nil.
+func (s *Span) StartChild(name string, start time.Time) *Span {
+	if s == nil || !s.t.enabled.Load() {
 		return nil
 	}
-	child := s.t.newSpan(s.tr, s.id, name)
-	s.t.push(goid(), child)
-	return child
+	return s.t.newSpan(s.tr, s.id, name, start)
 }
 
 // ctxKey keys the span stored in a context.
@@ -210,57 +205,4 @@ func FromContext(ctx context.Context) *Span {
 	}
 	sp, _ := ctx.Value(ctxKey{}).(*Span)
 	return sp
-}
-
-// Start begins a span on the tracer owning the context's span (the
-// process default tracer when the context carries none). See
-// Tracer.Start for parenting rules.
-func Start(ctx context.Context, name string) (context.Context, *Span) {
-	t := Default()
-	if sp := FromContext(ctx); sp != nil && sp.t != nil {
-		t = sp.t
-	}
-	return t.Start(ctx, name)
-}
-
-// Ambient returns the most specific open span visible to the caller:
-// the calling goroutine's innermost open span if it has one (which
-// includes spans the telemetry bridge created), else the context's
-// span, else nil. Fan-out code uses it to capture the parent before
-// spawning workers.
-func Ambient(ctx context.Context) *Span {
-	sp := FromContext(ctx)
-	t := Default()
-	if sp != nil && sp.t != nil {
-		t = sp.t
-	}
-	if t == nil || !t.enabled.Load() {
-		return sp
-	}
-	g := goid()
-	t.curMu.Lock()
-	cur := t.current[g]
-	t.curMu.Unlock()
-	if cur != nil {
-		return cur
-	}
-	return sp
-}
-
-// goid returns the current goroutine's id, parsed from the runtime
-// stack header ("goroutine 123 ["). ~1µs per call; only paid while
-// tracing is enabled, and per span rather than per data item.
-func goid() uint64 {
-	var buf [64]byte
-	n := runtime.Stack(buf[:], false)
-	const prefix = len("goroutine ")
-	var id uint64
-	for i := prefix; i < n; i++ {
-		c := buf[i]
-		if c < '0' || c > '9' {
-			break
-		}
-		id = id*10 + uint64(c-'0')
-	}
-	return id
 }

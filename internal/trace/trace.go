@@ -7,26 +7,17 @@
 // telemetry's Span aggregates by label path (how long does
 // recon/execute take on average?), while a trace answers the question
 // aggregation destroys — where did THIS request's 800ms go? The two
-// are bridged: installing a Tracer's Bridge as a telemetry
-// SpanObserver (Install) turns every existing telemetry.StartSpan call
-// site — plan build, k-d tree construction, chunked execution, cache
-// lookups, training epochs — into a trace event source without
-// re-instrumenting a single caller.
+// meet on context.Context. Request and command roots start a trace with
+// Tracer.Start or StartRemote and carry its span in the returned
+// context; every telemetry.Registry.Start under that context adds a
+// child record to the same trace with the stage's own start and
+// duration. This package is the leaf underneath: it imports nothing
+// from the rest of the module, and stage code never calls it directly.
 //
-// Completed traces land in a bounded ring with tail-sampling: error
-// traces and slow-percentile traces are always kept, the rest are
-// head-sampled 1-in-N. The ring exports as Chrome trace-event JSON
-// (chrome://tracing / Perfetto) via /debug/traces or the -trace-out
-// CLI flag.
-//
-// Attribution across goroutines uses two mechanisms: explicit context
-// propagation (Start returns a derived context; FromContext recovers
-// the span) and an ambient per-goroutine current-span table that lets
-// the telemetry bridge attach events from instrumentation sites that
-// never see a context. Spans must be started and ended on the same
-// goroutine for ambient tracking to unwind correctly; cross-goroutine
-// fan-out should create one child per worker (see StartChild), which
-// is what internal/parallel's context-aware loops do.
+// Completed traces land in a bounded ring: every trace is kept, and
+// labelled "error" when its root failed, "sampled" otherwise. The ring
+// exports as Chrome trace-event JSON (chrome://tracing / Perfetto) via
+// /debug/traces or the -trace-out CLI flag.
 package trace
 
 import (
@@ -40,22 +31,13 @@ import (
 // sensible default.
 type Config struct {
 	// Capacity is the completed-trace ring size (default 128): the
-	// newest Capacity kept traces are inspectable, older ones are
+	// newest Capacity traces are inspectable, older ones are
 	// overwritten.
 	Capacity int
 	// MaxSpans caps recorded spans per trace (default 4096); beyond it
 	// spans are counted as dropped rather than stored, so one
 	// pathological request cannot hold the heap hostage.
 	MaxSpans int
-	// KeepEvery head-samples unremarkable traces: 1 keeps every trace
-	// (the default — the ring is already bounded), N>1 keeps one in N.
-	// Error and slow traces are always kept regardless.
-	KeepEvery int
-	// SlowQuantile is the tail-sampling threshold (default 0.90): a
-	// trace at or above this quantile of recent root durations is
-	// always kept, so the traces that explain the p99 survive even
-	// under heavy KeepEvery sampling.
-	SlowQuantile float64
 }
 
 func (c Config) withDefaults() Config {
@@ -65,22 +47,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxSpans <= 0 {
 		c.MaxSpans = 4096
 	}
-	if c.KeepEvery <= 0 {
-		c.KeepEvery = 1
-	}
-	if c.SlowQuantile <= 0 || c.SlowQuantile >= 1 {
-		c.SlowQuantile = 0.90
-	}
 	return c
 }
-
-// durReservoirSize bounds the recent-root-duration sample the slow
-// threshold is estimated from.
-const durReservoirSize = 128
-
-// minSlowSamples is how many completed traces the tracer wants before
-// trusting the slow-quantile estimate.
-const minSlowSamples = 16
 
 // Tracer collects per-request trace trees. Construct with New (or use
 // the process Default, which starts disabled); all methods are safe
@@ -89,32 +57,18 @@ type Tracer struct {
 	enabled atomic.Bool
 	cfg     Config
 
-	// current maps goroutine id -> innermost open span started on that
-	// goroutine: the ambient half of attribution (see package doc).
-	curMu   sync.Mutex
-	current map[uint64]*Span
-
-	ringMu  sync.Mutex
-	ring    []*TraceData // circular, ringN valid entries ending at ringNext-1
-	ringN   int
+	ringMu   sync.Mutex
+	ring     []*TraceData // circular, ringN valid entries ending at ringNext-1
+	ringN    int
 	ringNext int
-	seen    int64 // unremarkable traces considered for head-sampling
-	durRes  []int64
-	durRng  uint64
-	durSeen int64
 
 	started atomic.Int64
 	kept    atomic.Int64
-	dropped atomic.Int64
 }
 
 // New returns an enabled tracer.
 func New(cfg Config) *Tracer {
-	t := &Tracer{
-		cfg:     cfg.withDefaults(),
-		current: make(map[uint64]*Span),
-		durRng:  0x2545F4914F6CDD1D,
-	}
+	t := &Tracer{cfg: cfg.withDefaults()}
 	t.ring = make([]*TraceData, t.cfg.Capacity)
 	t.enabled.Store(true)
 	return t
@@ -146,7 +100,7 @@ func SetDefault(t *Tracer) *Tracer {
 func Enable() { Default().SetEnabled(true) }
 
 // SetEnabled flips collection. While disabled, Start returns nil spans
-// and the bridge ignores telemetry events.
+// and existing spans start no children.
 func (t *Tracer) SetEnabled(on bool) {
 	if t == nil {
 		return
@@ -157,38 +111,29 @@ func (t *Tracer) SetEnabled(on bool) {
 // Enabled reports whether the tracer is collecting.
 func (t *Tracer) Enabled() bool { return t != nil && t.enabled.Load() }
 
-// Stats reports lifetime trace counts: roots started, traces kept by
-// the sampler, traces dropped by it.
-func (t *Tracer) Stats() (started, kept, dropped int64) {
+// Stats reports lifetime trace counts: roots started and traces
+// completed into the ring.
+func (t *Tracer) Stats() (started, kept int64) {
 	if t == nil {
-		return 0, 0, 0
+		return 0, 0
 	}
-	return t.started.Load(), t.kept.Load(), t.dropped.Load()
+	return t.started.Load(), t.kept.Load()
 }
 
 // Start begins a span. If ctx carries a span, the new one is its
-// child; otherwise, if the calling goroutine has an ambient open span,
-// it parents there; otherwise a new trace root is created. The
-// returned context carries the span for downstream propagation.
-// A disabled tracer returns (ctx, nil); nil spans no-op everywhere.
+// child; otherwise a new trace root is created. The returned context
+// carries the span for downstream propagation. A disabled tracer
+// returns (ctx, nil); nil spans no-op everywhere.
 func (t *Tracer) Start(ctx context.Context, name string) (context.Context, *Span) {
 	if t == nil || !t.enabled.Load() {
 		return ctx, nil
 	}
-	parent := FromContext(ctx)
-	g := goid()
-	if parent == nil {
-		t.curMu.Lock()
-		parent = t.current[g]
-		t.curMu.Unlock()
-	}
 	var sp *Span
-	if parent == nil || parent.tr == nil {
-		sp = t.newRoot(name, NewTraceID(), SpanID{})
+	if parent := FromContext(ctx); parent != nil {
+		sp = t.newSpan(parent.tr, parent.id, name, time.Now())
 	} else {
-		sp = t.newSpan(parent.tr, parent.id, name)
+		sp = t.newRoot(name, NewTraceID(), SpanID{})
 	}
-	t.push(g, sp)
 	return ContextWith(ctx, sp), sp
 }
 
@@ -205,7 +150,6 @@ func (t *Tracer) StartRemote(ctx context.Context, name string, traceID TraceID, 
 	}
 	sp := t.newRoot(name, traceID, parentID)
 	sp.tr.remote = true
-	t.push(goid(), sp)
 	return ContextWith(ctx, sp), sp
 }
 
@@ -213,69 +157,29 @@ func (t *Tracer) StartRemote(ctx context.Context, name string, traceID TraceID, 
 func (t *Tracer) newRoot(name string, id TraceID, parentID SpanID) *Span {
 	t.started.Add(1)
 	tr := &activeTrace{id: id}
-	sp := t.newSpan(tr, parentID, name)
+	sp := t.newSpan(tr, parentID, name, time.Now())
 	tr.rootID = sp.id
 	return sp
 }
 
-func (t *Tracer) newSpan(tr *activeTrace, parent SpanID, name string) *Span {
+func (t *Tracer) newSpan(tr *activeTrace, parent SpanID, name string, start time.Time) *Span {
 	return &Span{
 		t:      t,
 		tr:     tr,
 		id:     NewSpanID(),
 		parent: parent,
 		name:   name,
-		start:  time.Now(),
+		start:  start,
 	}
 }
 
-// push records sp as goroutine g's innermost open span.
-func (t *Tracer) push(g uint64, sp *Span) {
-	sp.goid = g
-	t.curMu.Lock()
-	sp.prev = t.current[g]
-	t.current[g] = sp
-	t.curMu.Unlock()
-}
-
-// pop unwinds the ambient stack if sp is still g's innermost span.
-func (t *Tracer) pop(sp *Span) {
-	t.curMu.Lock()
-	if t.current[sp.goid] == sp {
-		if sp.prev != nil {
-			t.current[sp.goid] = sp.prev
-		} else {
-			delete(t.current, sp.goid)
-		}
-	}
-	t.curMu.Unlock()
-}
-
-// finish runs the tail-sampling decision for a completed trace and, if
-// kept, stores it in the ring.
+// finish stores a completed trace in the ring, labelled "error" when
+// its root failed and "sampled" otherwise.
 func (t *Tracer) finish(tr *activeTrace, root SpanRecord) {
-	t.ringMu.Lock()
-	slowNS, haveSlow := t.slowThresholdLocked()
-	t.observeRootLocked(root.DurationNS)
-
-	reason := ""
-	switch {
-	case root.Error != "":
+	reason := "sampled"
+	if root.Error != "" {
 		reason = "error"
-	case haveSlow && root.DurationNS >= slowNS:
-		reason = "slow"
-	default:
-		t.seen++
-		if t.cfg.KeepEvery <= 1 || t.seen%int64(t.cfg.KeepEvery) == 0 {
-			reason = "sampled"
-		}
 	}
-	if reason == "" {
-		t.ringMu.Unlock()
-		t.dropped.Add(1)
-		return
-	}
-
 	tr.mu.Lock()
 	td := &TraceData{
 		TraceID:      tr.id,
@@ -292,6 +196,7 @@ func (t *Tracer) finish(tr *activeTrace, root SpanRecord) {
 	tr.spans = nil // ownership moves to the ring
 	tr.mu.Unlock()
 
+	t.ringMu.Lock()
 	t.ring[t.ringNext] = td
 	t.ringNext = (t.ringNext + 1) % len(t.ring)
 	if t.ringN < len(t.ring) {
@@ -299,33 +204,6 @@ func (t *Tracer) finish(tr *activeTrace, root SpanRecord) {
 	}
 	t.ringMu.Unlock()
 	t.kept.Add(1)
-}
-
-// slowThresholdLocked estimates the SlowQuantile of recent root
-// durations; ok is false until enough traces have completed.
-func (t *Tracer) slowThresholdLocked() (ns int64, ok bool) {
-	if len(t.durRes) < minSlowSamples {
-		return 0, false
-	}
-	cp := append([]int64(nil), t.durRes...)
-	// Nearest-rank on a copied, sorted sample (the reservoir is small).
-	return int64(quantileOf(cp, t.cfg.SlowQuantile)), true
-}
-
-// observeRootLocked folds one root duration into the reservoir
-// (algorithm R, deterministic xorshift replacement).
-func (t *Tracer) observeRootLocked(ns int64) {
-	t.durSeen++
-	if len(t.durRes) < durReservoirSize {
-		t.durRes = append(t.durRes, ns)
-		return
-	}
-	t.durRng ^= t.durRng << 13
-	t.durRng ^= t.durRng >> 7
-	t.durRng ^= t.durRng << 17
-	if j := t.durRng % uint64(t.durSeen); j < durReservoirSize {
-		t.durRes[j] = ns
-	}
 }
 
 // Traces returns the kept traces, newest first.
@@ -353,8 +231,8 @@ func (t *Tracer) TraceByID(id TraceID) *TraceData {
 	return nil
 }
 
-// Reset drops every kept trace and the sampling history, keeping the
-// enabled state. Mainly for tests.
+// Reset drops every kept trace, keeping the enabled state. Mainly for
+// tests.
 func (t *Tracer) Reset() {
 	if t == nil {
 		return
@@ -364,29 +242,5 @@ func (t *Tracer) Reset() {
 	for i := range t.ring {
 		t.ring[i] = nil
 	}
-	t.ringN, t.ringNext, t.seen, t.durSeen = 0, 0, 0, 0
-	t.durRes = t.durRes[:0]
-}
-
-// quantileOf computes the nearest-rank q-quantile of ns, sorting in
-// place.
-func quantileOf(ns []int64, q float64) int64 {
-	if len(ns) == 0 {
-		return 0
-	}
-	// Insertion sort: the reservoir is at most durReservoirSize long
-	// and this runs once per completed trace.
-	for i := 1; i < len(ns); i++ {
-		for j := i; j > 0 && ns[j] < ns[j-1]; j-- {
-			ns[j], ns[j-1] = ns[j-1], ns[j]
-		}
-	}
-	idx := int(q*float64(len(ns))+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(ns) {
-		idx = len(ns) - 1
-	}
-	return ns[idx]
+	t.ringN, t.ringNext = 0, 0
 }
