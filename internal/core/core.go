@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
@@ -413,17 +414,37 @@ const fusedTile = 512
 
 // fusedScratch is one worker's reusable state for the fused path: the
 // feature block, the prediction block, the per-layer activation
-// buffers, and the query/neighbor scratch. Allocated once per
-// ReconstructRegion call and reused across every macro-batch.
+// buffers, and the query/neighbor scratch. It records the shape it was
+// built for (input and output width, K and hidden widths) and serves
+// only predictors of that shape.
 type fusedScratch struct {
-	x, out  *nn.Matrix
-	buf     *nn.InferenceBuffers
-	queries []mathutil.Vec3
-	nbBuf   []kdtree.Neighbor
+	inW, outW, k int
+	hidden       []int
+	x, out       *nn.Matrix
+	buf          *nn.InferenceBuffers
+	queries      []mathutil.Vec3
+	nbBuf        []kdtree.Neighbor
 }
 
-func newFusedScratch(pred nn.Predictor, inW, outW, k int) *fusedScratch {
+// scratchPool recycles fusedScratch sets across ReconstructRegion
+// calls. A set for the repo benchmark's network is about 1.3 MB;
+// without the pool every call, even a 256-node box query, would
+// allocate and zero one per worker.
+var scratchPool sync.Pool
+
+// getFusedScratch returns a pooled scratch set built for this shape, or
+// a new one; a pooled set of another shape is dropped.
+func getFusedScratch(pred nn.Predictor, inW, outW, k int) *fusedScratch {
+	hidden := pred.Config().Hidden
+	if s, ok := scratchPool.Get().(*fusedScratch); ok &&
+		s.inW == inW && s.outW == outW && s.k == k && slices.Equal(s.hidden, hidden) {
+		return s
+	}
 	return &fusedScratch{
+		inW:     inW,
+		outW:    outW,
+		k:       k,
+		hidden:  slices.Clone(hidden),
 		x:       nn.NewMatrix(fusedTile, inW),
 		out:     nn.NewMatrix(fusedTile, outW),
 		buf:     pred.NewInferenceBuffers(fusedTile),
@@ -490,9 +511,17 @@ func (r *FCNN) ReconstructRegion(ctx context.Context, p *recon.Plan, region reco
 	if workers <= 0 {
 		workers = parallel.DefaultWorkers()
 	}
-	// One scratch set per worker, reused across macro-batches; slots
-	// fill lazily because ForChunked may engage fewer workers.
+	// One scratch set per worker, reused across macro-batches and taken
+	// from scratchPool; slots fill lazily because ForChunked may engage
+	// fewer workers.
 	scratch := make([]*fusedScratch, workers)
+	defer func() {
+		for _, s := range scratch {
+			if s != nil {
+				scratchPool.Put(s)
+			}
+		}
+	}()
 	for bstart := 0; bstart < len(voidIdx); bstart += batch {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -533,10 +562,10 @@ func (r *FCNN) reconNormalizer(spec recon.GridSpec) *features.Normalizer {
 // fusedInfer runs one macro-batch of void locations through the fused
 // pipeline: workers take contiguous sub-ranges of chunk and stream
 // fusedTile micro-batches through their own scratch, so the whole
-// macro-batch performs O(workers) allocations on first use and zero
-// afterwards. Results are bit-identical to the row-at-a-time reference
-// path (reconstructRegionScalar, the tests' oracle) — the kernels
-// preserve accumulation order exactly.
+// macro-batch allocates no scratch once scratchPool is warm. Results
+// are bit-identical to the row-at-a-time reference path
+// (reconstructRegionScalar, the tests' oracle) — the kernels preserve
+// accumulation order exactly.
 func (r *FCNN) fusedInfer(pred nn.Predictor, ex *features.Extractor, spec recon.GridSpec, region recon.Region, chunk []int, dst []float64, norm *features.Normalizer, workers int, scratch []*fusedScratch) error {
 	nw := workers
 	if nw > len(chunk) {
@@ -561,7 +590,7 @@ func (r *FCNN) fusedInfer(pred nn.Predictor, ex *features.Extractor, spec recon.
 		w := lo / csz
 		s := scratch[w]
 		if s == nil {
-			s = newFusedScratch(pred, ex.Config().InputWidth(), pred.Config().Out, ex.Config().K)
+			s = getFusedScratch(pred, ex.Config().InputWidth(), pred.Config().Out, ex.Config().K)
 			scratch[w] = s
 		}
 		for t := lo; t < hi; t += fusedTile {

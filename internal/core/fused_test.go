@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"fillvoid/internal/datasets"
@@ -77,10 +78,16 @@ func (r *FCNN) reconstructRegionScalar(ctx context.Context, p *recon.Plan, regio
 // depend on weight quality, so the guard tests skip the training cost.
 func untrainedFCNN(t *testing.T, workers, reconBatch int) *FCNN {
 	t.Helper()
+	return untrainedFCNNHidden(t, workers, reconBatch, []int{48, 24, 16})
+}
+
+// untrainedFCNNHidden is untrainedFCNN with the given hidden widths.
+func untrainedFCNNHidden(t *testing.T, workers, reconBatch int, hidden []int) *FCNN {
+	t.Helper()
 	cfg := features.DefaultConfig()
 	net, err := nn.New(nn.Config{
 		In: cfg.InputWidth(), Out: cfg.OutputWidth(),
-		Hidden: []int{48, 24, 16}, Seed: 9, Workers: workers,
+		Hidden: hidden, Seed: 9, Workers: workers,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -226,4 +233,102 @@ func TestQuantizedReconstructClose(t *testing.T) {
 			}
 		}
 	}
+}
+
+// goldenPlan builds a plan over a 5% importance sample of the golden
+// 32×32×10 Isabel fixture.
+func goldenPlan(t *testing.T) *recon.Plan {
+	t.Helper()
+	truth := datasets.Volume(datasets.NewIsabel(3), 32, 32, 10, 10)
+	cloud, _, err := (&sampling.Importance{Seed: 3}).Sample(truth, "pressure", 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := recon.NewPlan(cloud, recon.SpecOf(truth))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// scratchMix alternates box and full-grid queries of two models with
+// different hidden widths through the shared scratchPool, checking each
+// answer against that model's first answer by Float64bits.
+type scratchMix struct {
+	plan    *recon.Plan
+	models  []*FCNN
+	regions []recon.Region
+	want    [][][]float64 // [model][region]
+}
+
+func newScratchMix(t *testing.T) *scratchMix {
+	t.Helper()
+	p := goldenPlan(t)
+	m := &scratchMix{
+		plan: p,
+		models: []*FCNN{
+			untrainedFCNNHidden(t, 2, 0, []int{48, 24, 16}),
+			untrainedFCNNHidden(t, 2, 0, []int{40, 16}),
+		},
+		regions: []recon.Region{recon.Box(10, 12, 3, 18, 20, 7), recon.Full(p.Spec())},
+	}
+	for _, r := range m.models {
+		var answers [][]float64
+		for _, reg := range m.regions {
+			dst := make([]float64, reg.Len())
+			if err := r.ReconstructRegion(context.Background(), p, reg, dst); err != nil {
+				t.Fatal(err)
+			}
+			answers = append(answers, dst)
+		}
+		m.want = append(m.want, answers)
+	}
+	return m
+}
+
+// run makes rounds passes over every (model, region) pair and returns
+// the first mismatch or error.
+func (m *scratchMix) run(rounds int) error {
+	for round := 0; round < rounds; round++ {
+		for ri, reg := range m.regions {
+			for mi, r := range m.models {
+				dst := make([]float64, reg.Len())
+				if err := r.ReconstructRegion(context.Background(), m.plan, reg, dst); err != nil {
+					return err
+				}
+				for i, w := range m.want[mi][ri] {
+					if math.Float64bits(dst[i]) != math.Float64bits(w) {
+						return fmt.Errorf("model %d region %d round %d point %d: %x, first answer %x",
+							mi, ri, round, i, math.Float64bits(dst[i]), math.Float64bits(w))
+					}
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// TestScratchPoolAlternatingModels: scratch built for one network shape
+// must never serve another, and reuse must not change any bit.
+func TestScratchPoolAlternatingModels(t *testing.T) {
+	if err := newScratchMix(t).run(3); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestScratchPoolConcurrent runs the alternating mix from 8 goroutines
+// at once; run it under -race.
+func TestScratchPoolConcurrent(t *testing.T) {
+	m := newScratchMix(t)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := m.run(2); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
 }

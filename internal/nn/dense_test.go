@@ -68,17 +68,38 @@ func kernelInput(rows, in int, seed int64) *Matrix {
 // arithmetic produces this signalling-NaN pattern.
 var unwritten = math.Float64frombits(0x7ff0_dead_beef_0001)
 
+// withKernelDispatch runs f once with the kernel denseForward selects
+// for the running CPU and once with the AVX kernel switched off,
+// restoring the detected choice afterwards.
+func withKernelDispatch(t *testing.T, f func(t *testing.T)) {
+	detected := useAVX
+	t.Cleanup(func() { useAVX = detected })
+	for _, on := range []bool{detected, false} {
+		useAVX = on
+		name := "portable"
+		if on {
+			name = "avx"
+		}
+		t.Run(name, f)
+	}
+}
+
 // TestDenseForwardMatchesScalar pins the kernel contract by Float64bits
-// against the scalar oracle, over every split denseForward makes (4×4
-// blocks, leftover outputs, leftover rows) and over the pure-Go
-// denseForwardBlocked alone, with and without ReLU. Output 0 has a -0
-// bias and negative weights, so an all-zero row sums to exactly -0;
-// other rows carry NaN and ±Inf. ReLU must keep -0 and NaN as
-// `if s < 0 { s = 0 }` does: Go's max(s, 0) turns -0 into +0, and MAXPD
-// with its operands swapped turns both into +0.
+// against the scalar oracle, over every split denseForward makes (4×8
+// blocks, several blocks per row, 1–7 leftover outputs, leftover rows)
+// and over the pure-Go denseForwardBlocked alone, with and without
+// ReLU, both with the detected dispatch and with AVX switched off.
+// Output 0 has a -0 bias and negative weights, so an all-zero row sums
+// to exactly -0; other rows carry NaN and ±Inf. ReLU must keep -0 and
+// NaN as `if s < 0 { s = 0 }` does: Go's max(s, 0) turns -0 into +0,
+// and VMAXPD with its sources swapped turns both into +0.
 func TestDenseForwardMatchesScalar(t *testing.T) {
+	withKernelDispatch(t, testDenseForwardMatchesScalar)
+}
+
+func testDenseForwardMatchesScalar(t *testing.T) {
 	for _, in := range []int{1, 3, 23, 128} {
-		for _, nout := range []int{1, 2, 3, 4, 5, 7, 8, 128} {
+		for _, nout := range []int{1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 24, 128} {
 			l := newDense(in, nout, false)
 			rng := mathutil.NewRNG(int64(1000*in + nout))
 			for i := range l.w {

@@ -6,10 +6,11 @@ import "fmt"
 // around one dense-layer kernel, denseForward, so steady-state inference
 // over a stream of chunks performs zero heap allocations. Every forward
 // pass in the package runs through denseForward: PredictInto, Predict,
-// the quantized views and training. On amd64 it is a packed-SSE2
-// micro-kernel (dense_amd64.s); on every other GOARCH, and for the rows
-// and outputs that do not fill a 4×4 block, it is denseForwardBlocked.
-// Both are bit-identical to a row-at-a-time scalar loop: for every
+// the quantized views and training. On amd64 hosts with AVX, chosen at
+// run time, it is a 256-bit micro-kernel over 4-row × 8-output blocks
+// (dense_amd64.s); on other hosts and GOARCHes, and for the rows and
+// outputs that do not fill a block, it is denseForwardBlocked. Both are
+// bit-identical to a row-at-a-time scalar loop: for every
 // (row, output) pair the accumulator starts at the bias and adds
 // w[i]*x[i] with i ascending, each product and each sum rounded on its
 // own (no fused multiply-add), so blocking and vectorising change only

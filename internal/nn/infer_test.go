@@ -145,6 +145,43 @@ func TestQuantizedClose(t *testing.T) {
 	}
 }
 
+// TestQuantizedBitIdenticalToExpanded pins the quantized path exactly:
+// Quantized.PredictInto must reproduce, by Float64bits, the scalar
+// oracle chained over a network holding the dequantized weights, at
+// batch sizes below, at and past one 4-row block.
+func TestQuantizedBitIdenticalToExpanded(t *testing.T) {
+	withKernelDispatch(t, func(t *testing.T) {
+		n := testNetwork(t)
+		for _, mode := range []QuantMode{QuantF16, QuantInt8} {
+			q, err := n.Quantize(mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := n.Clone()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for li := range q.layers {
+				q.layers[li].expand(ref.layers[li].w)
+			}
+			buf := q.NewInferenceBuffers(257)
+			for _, rows := range []int{1, 5, 8, 257} {
+				x := randomInput(rows, 23, int64(rows))
+				want := scalarPredict(ref, x)
+				out := NewMatrix(rows, 4)
+				if err := q.PredictInto(x, out, buf); err != nil {
+					t.Fatal(err)
+				}
+				for i, w := range want.Data {
+					if math.Float64bits(out.Data[i]) != math.Float64bits(w) {
+						t.Fatalf("%v rows=%d element %d: PredictInto %x, scalar %x", mode, rows, i, out.Data[i], w)
+					}
+				}
+			}
+		}
+	})
+}
+
 func TestQuantModeParse(t *testing.T) {
 	for s, want := range map[string]QuantMode{"": QuantNone, "none": QuantNone, "f64": QuantNone, "f16": QuantF16, "int8": QuantInt8} {
 		got, err := ParseQuantMode(s)
@@ -170,16 +207,25 @@ func TestQuantizeRejectsNone(t *testing.T) {
 // BenchmarkPredictInto streams 512-row tiles, the fused reconstruction
 // tile, through the test network and through the network the repo
 // benchmark pretrains (23→128,64,32,16,8→4), reporting ns/row and
-// GFLOP/s (two FLOPs per multiply-add).
+// GFLOP/s (two FLOPs per multiply-add). The portable case runs the
+// perfbench network with the AVX kernel switched off: the cost on a
+// host without AVX.
 func BenchmarkPredictInto(b *testing.B) {
 	for _, bc := range []struct {
-		name   string
-		hidden []int
+		name     string
+		hidden   []int
+		portable bool
 	}{
-		{"test-net", []int{64, 32, 16}},
-		{"perfbench-net", []int{128, 64, 32, 16, 8}},
+		{"test-net", []int{64, 32, 16}, false},
+		{"perfbench-net", []int{128, 64, 32, 16, 8}, false},
+		{"perfbench-net-portable", []int{128, 64, 32, 16, 8}, true},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
+			if bc.portable {
+				detected := useAVX
+				useAVX = false
+				defer func() { useAVX = detected }()
+			}
 			n, err := New(Config{In: 23, Out: 4, Hidden: bc.hidden, Seed: 5})
 			if err != nil {
 				b.Fatal(err)
