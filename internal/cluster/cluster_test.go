@@ -215,6 +215,46 @@ func TestPrimaryFailureFailsOverImmediately(t *testing.T) {
 	}
 }
 
+// TestSuccessfulPrimaryNeverFailsOver: the hedge leg wakes as soon as
+// the primary leg finishes, and with an hour-long hedge delay it may
+// fail over only when the primary failed. It must never take a
+// successful primary for a failed one and re-run the shard on the
+// backup. Whether a run hits that window is up to the scheduler, so
+// the test repeats runShard many times; the race detector widens the
+// window, which is why the short mode that `make race` uses still
+// fails reliably on a wrong ordering with fewer runs.
+func TestSuccessfulPrimaryNeverFailsOver(t *testing.T) {
+	tel := telemetry.NewRegistry()
+	c := testClusterOf(t, Config{Self: "r0", Members: membersOf("r0", "r1"),
+		HedgeAfter: time.Hour, Telemetry: tel})
+	replicas := c.replicasFor(keyHash(19), 2)
+	primary := replicas[0].ID
+	var backupCalls atomic.Int64
+	c.do = func(ctx context.Context, m Member, q *subQuery) ([]float64, error) {
+		if m.ID != primary {
+			backupCalls.Add(1)
+		}
+		b := q.Region.Box
+		return shardValues(recon.Box(b[0], b[1], b[2], b[3], b[4], b[5])), nil
+	}
+	spec := specOf(4, 4, 2)
+	shard := recon.Full(spec)
+	q := &Query{Spec: spec, Region: shard, KeyHash: keyHash(19)}
+	runs := 100_000
+	if testing.Short() {
+		runs = 20_000
+	}
+	for i := 0; i < runs; i++ {
+		if _, _, err := c.runShard(context.Background(), q, shard, replicas, 0); err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+	}
+	if n := backupCalls.Load(); n != 0 {
+		t.Fatalf("successful primary failed over to the backup in %d of %d runs (cluster.hedges = %d)",
+			n, runs, tel.Counter("cluster.hedges").Value())
+	}
+}
+
 // TestBothReplicasFailingSurfacesBothErrors: when the primary and the
 // hedge both fail, the caller sees a single error naming both causes.
 func TestBothReplicasFailingSurfacesBothErrors(t *testing.T) {

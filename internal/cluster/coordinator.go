@@ -158,8 +158,11 @@ func (c *Cluster) runShard(ctx context.Context, q *Query, shard recon.Region, re
 	primaryDone := make(chan struct{})
 	parallel.Fork(func() {
 		pri.vals, pri.err = c.timedDo(hctx, primary, req)
-		close(primaryDone)
+		// Record before signalling: the hedge leg reads win as soon as
+		// primaryDone closes, and must not take a success it has not
+		// seen yet for a failure.
 		record(&pri)
+		close(primaryDone)
 	}, func() {
 		t := time.NewTimer(c.hedgeDelay())
 		defer t.Stop()

@@ -16,8 +16,8 @@ func gemm4x8(x *float64, rows, in int, wp, b *float64, nout, ldd int, dst *float
 // registers across context switches.
 func cpuHasAVX() bool
 
-// useAVX selects gemm4x8 for denseForward. It is fixed at start-up;
-// tests switch it off to cover the pure-Go path on AVX hosts.
+// useAVX selects gemm4x8 for denseForward and gemm. It is fixed at
+// start-up; tests switch it off to cover the pure-Go path on AVX hosts.
 var useAVX = cpuHasAVX()
 
 // denseForward computes one dense layer, dst = act(x·Wᵀ + b): x is
@@ -53,5 +53,68 @@ func packWeights(pack, w []float64, in, nout8 int) {
 				p[8*i+j] = v
 			}
 		}
+	}
+}
+
+// gemm computes dst = x·b, each element summed from +0 over k ascending
+// as the dense kernel sums: x is (rows × k) and b (k × n), both
+// row-major, and dst is (rows × n). It serves both backward products,
+// on gemm4x8 with AVX and on denseForwardBlocked without. b's rows are
+// already k-major, so packing copies eight contiguous elements at a
+// time; a last partial block of columns is padded with zero columns
+// and, like the rows left over from whole 4-row blocks (padded with
+// zero rows), runs on the kernel into s.tmp and is copied out.
+func gemm(x []float64, rows, k int, b []float64, n int, dst []float64, s *gemmScratch) {
+	if !useAVX || k == 0 {
+		gemmBlocked(x, rows, k, b, n, dst, s)
+		return
+	}
+	n8 := (n + 7) &^ 7
+	p, zero := s.pack[:n8*k], s.zero[:n8]
+	packRows(p, b, k, n)
+	rows4 := rows &^ 3
+	if rows4 > 0 {
+		xs := x[:rows4*k]
+		if n8 == n {
+			ds := dst[:rows4*n]
+			gemm4x8(&xs[0], rows4, k, &p[0], &zero[0], n, n, &ds[0], false)
+		} else {
+			t := s.tmp[:rows4*n8]
+			gemm4x8(&xs[0], rows4, k, &p[0], &zero[0], n8, n8, &t[0], false)
+			unpad(dst, t, rows4, n, n8)
+		}
+	}
+	if rest := rows - rows4; rest > 0 {
+		xp, t := s.xpad[:4*k], s.tmp[:4*n8]
+		clear(xp[copy(xp, x[rows4*k:rows*k]):])
+		gemm4x8(&xp[0], 4, k, &p[0], &zero[0], n8, n8, &t[0], false)
+		unpad(dst[rows4*n:], t, rest, n, n8)
+	}
+}
+
+// packRows lays out b (k × n, row-major) as packWeights lays out a
+// weight matrix's transpose: the block of columns j..j+7 holds b[i][j+c]
+// at pack[j*k+8*i+c], and the last block is zero-padded to eight.
+func packRows(pack, b []float64, k, n int) {
+	for j := 0; j < n; j += 8 {
+		p := pack[j*k : (j+8)*k]
+		if j+8 <= n {
+			for i := 0; i < k; i++ {
+				*(*[8]float64)(p[8*i:]) = *(*[8]float64)(b[i*n+j:])
+			}
+			continue
+		}
+		for i := 0; i < k; i++ {
+			q := p[8*i : 8*i+8]
+			clear(q[copy(q, b[i*n+j:(i+1)*n]):])
+		}
+	}
+}
+
+// unpad copies the first n columns of rows rows of t, whose rows are n8
+// elements apart, to dst, whose rows are n apart.
+func unpad(dst, t []float64, rows, n, n8 int) {
+	for r := 0; r < rows; r++ {
+		copy(dst[r*n:(r+1)*n], t[r*n8:])
 	}
 }

@@ -4,17 +4,20 @@ import "fmt"
 
 // This file is the fused batched-inference path: caller-owned buffers
 // around one dense-layer kernel, denseForward, so steady-state inference
-// over a stream of chunks performs zero heap allocations. Every forward
-// pass in the package runs through denseForward: PredictInto, Predict,
-// the quantized views and training. On amd64 hosts with AVX, chosen at
-// run time, it is a 256-bit micro-kernel over 4-row × 8-output blocks
-// (dense_amd64.s); on other hosts and GOARCHes, and for the rows and
-// outputs that do not fill a block, it is denseForwardBlocked. Both are
-// bit-identical to a row-at-a-time scalar loop: for every
-// (row, output) pair the accumulator starts at the bias and adds
-// w[i]*x[i] with i ascending, each product and each sum rounded on its
-// own (no fused multiply-add), so blocking and vectorising change only
-// how fast the values are produced.
+// over a stream of chunks performs zero heap allocations. Every dense
+// GEMM in the package runs through one kernel: the forward pass of
+// PredictInto, Predict, the quantized views and training through
+// denseForward, and both products of training's backward pass
+// (denseBackward in layer.go), dW = dZᵀ·X and dX = dZ·W, through gemm.
+// On amd64 hosts with AVX, chosen at run time, it is a 256-bit
+// micro-kernel over 4-row × 8-output blocks (dense_amd64.s); on other
+// hosts and GOARCHes, and for the rows and outputs that do not fill a
+// forward block, it is denseForwardBlocked. Both are bit-identical to
+// a row-at-a-time scalar loop: every element's accumulator starts at
+// the bias (+0 for the backward products) and adds its products with
+// the reduction index ascending, each product and each sum rounded on
+// its own (no fused multiply-add), so blocking and vectorising change
+// only how fast the values are produced.
 
 // Predictor is the fused inference contract shared by the
 // full-precision Network and its Quantized variants: size buffers once

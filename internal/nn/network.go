@@ -262,25 +262,6 @@ func (n *Network) Predict(x *Matrix) (*Matrix, error) {
 	return out, nil
 }
 
-// forwardShard runs the forward pass for one training shard, keeping
-// what backward needs: each layer's pre-activation in zs (the inference
-// kernel with ReLU off) and its activation relu(z) in as. pack is the
-// kernel's weight scratch.
-func (n *Network) forwardShard(x *Matrix, zs, as []*Matrix, pack []float64) {
-	cur := x
-	for li, l := range n.layers {
-		z, a := zs[li], as[li]
-		denseForward(cur.Data, cur.Rows, l.in, l.w, l.b, l.out, false, z.Data, pack)
-		for i, s := range z.Data {
-			if l.relu && s < 0 {
-				s = 0
-			}
-			a.Data[i] = s
-		}
-		cur = a
-	}
-}
-
 // Loss returns the mean squared error of predictions against targets,
 // averaged over all elements.
 func Loss(pred, target *Matrix) (float64, error) {
@@ -313,6 +294,16 @@ func (n *Network) TrainEpochs(x, y *Matrix, epochs int) ([]float64, error) {
 // generator's position is part of the state, and each epoch's
 // permutation depends only on that position.
 func (n *Network) TrainEpochsOpts(x, y *Matrix, epochs int, run RunOptions) ([]float64, error) {
+	return n.trainEpochs(x, y, epochs, run, (*Network).shardGradient)
+}
+
+// shardGradFunc computes one shard's gradients into s.gw and s.gb and
+// returns the shard's summed squared error. Training takes it as a
+// parameter so tests can run the same loop on the scalar oracles.
+type shardGradFunc func(n *Network, sx, sy *Matrix, s *trainScratch, batchTotal int) float64
+
+// trainEpochs is TrainEpochsOpts with the shard gradient passed in.
+func (n *Network) trainEpochs(x, y *Matrix, epochs int, run RunOptions, grad shardGradFunc) ([]float64, error) {
 	if x.Rows != y.Rows {
 		return nil, errors.New("nn: x/y row mismatch")
 	}
@@ -387,7 +378,7 @@ func (n *Network) TrainEpochsOpts(x, y *Matrix, epochs int, run RunOptions) ([]f
 				copy(bx.Row(i), x.Row(perm[start+i]))
 				copy(by.Row(i), y.Row(perm[start+i]))
 			}
-			loss := n.trainBatch(bx.SliceRows(0, bn), by.SliceRows(0, bn), scratch, gw, gb, workers, adamCfg)
+			loss := n.trainBatch(bx.SliceRows(0, bn), by.SliceRows(0, bn), scratch, gw, gb, workers, adamCfg, grad)
 			// Weight each batch's mean loss by its row count so the
 			// epoch mean is the true dataset MSE even when the final
 			// minibatch is partial (rows % batch != 0).
@@ -623,35 +614,32 @@ func (n *Network) TrainWithValidationOpts(x, y, vx, vy *Matrix, epochs, patience
 	return trainLosses, valLosses, nil
 }
 
-// trainScratch holds one worker's forward caches, gradient buffers and
-// backprop temporaries.
+// trainScratch holds one worker's activations, gradient buffers and
+// backward-pass workspace.
 type trainScratch struct {
-	zs, as []*Matrix
-	dA     []*Matrix
-	gw     [][]float64
-	gb     [][]float64
-	pack   []float64 // denseForward's weight scratch, sized for the largest layer
+	as, dA [][]float64 // per layer: activations and their loss gradients
+	gw, gb [][]float64
+	// gemmScratch is the backward pass's workspace; its pack also holds
+	// denseForward's weights, and fit sizes it for both.
+	gemmScratch
 }
 
 func (n *Network) newTrainScratch(rows int) *trainScratch {
 	s := &trainScratch{}
-	maxW := 0
 	for _, l := range n.layers {
-		s.zs = append(s.zs, NewMatrix(rows, l.out))
-		s.as = append(s.as, NewMatrix(rows, l.out))
-		s.dA = append(s.dA, NewMatrix(rows, l.out))
+		s.as = append(s.as, make([]float64, rows*l.out))
+		s.dA = append(s.dA, make([]float64, rows*l.out))
 		s.gw = append(s.gw, make([]float64, len(l.w)))
 		s.gb = append(s.gb, make([]float64, len(l.b)))
-		maxW = max(maxW, len(l.w))
+		s.fit(rows, l.in, l.out)
 	}
-	s.pack = make([]float64, maxW)
 	return s
 }
 
 // trainBatch computes the batch gradient with data-parallel shards,
 // reduces the per-worker gradients in fixed order, and applies one Adam
 // step per unfrozen layer. It returns the batch's mean loss.
-func (n *Network) trainBatch(bx, by *Matrix, scratch []*trainScratch, gw, gb [][]float64, workers int, adamCfg AdamConfig) float64 {
+func (n *Network) trainBatch(bx, by *Matrix, scratch []*trainScratch, gw, gb [][]float64, workers int, adamCfg AdamConfig, grad shardGradFunc) float64 {
 	bn := bx.Rows
 	if workers > bn {
 		workers = bn
@@ -660,7 +648,7 @@ func (n *Network) trainBatch(bx, by *Matrix, scratch []*trainScratch, gw, gb [][
 	losses := make([]float64, workers)
 	parallel.ForChunked(bn, workers, func(lo, hi int) {
 		w := lo / chunk
-		losses[w] = n.shardGradient(bx.SliceRows(lo, hi), by.SliceRows(lo, hi), scratch[w], bn)
+		losses[w] = grad(n, bx.SliceRows(lo, hi), by.SliceRows(lo, hi), scratch[w], bn)
 	})
 	// Fixed-order reduction keeps training deterministic.
 	for li := range n.layers {
@@ -700,49 +688,38 @@ func (n *Network) trainBatch(bx, by *Matrix, scratch []*trainScratch, gw, gb [][
 	return total / float64(bn*by.Cols)
 }
 
-// shardGradient runs forward + backward over one shard, accumulating
-// gradients into the scratch buffers (zeroed here) and returning the
-// shard's summed squared error.
+// shardGradient runs forward + backward over one shard, writing its
+// gradients to the scratch buffers and returning the shard's summed
+// squared error. The forward pass applies ReLU in the kernel and keeps
+// only the activations, which are all denseBackward needs.
 func (n *Network) shardGradient(sx, sy *Matrix, s *trainScratch, batchTotal int) float64 {
 	rows := sx.Rows
 	nl := len(n.layers)
-	zs := make([]*Matrix, nl)
-	as := make([]*Matrix, nl)
-	dA := make([]*Matrix, nl)
-	for li := range n.layers {
-		zs[li] = s.zs[li].SliceRows(0, rows)
-		as[li] = s.as[li].SliceRows(0, rows)
-		dA[li] = s.dA[li].SliceRows(0, rows)
-		for i := range s.gw[li] {
-			s.gw[li][i] = 0
-		}
-		for i := range s.gb[li] {
-			s.gb[li][i] = 0
-		}
+	cur := sx.Data
+	for li, l := range n.layers {
+		a := s.as[li][:rows*l.out]
+		denseForward(cur, rows, l.in, l.w, l.b, l.out, l.relu, a, s.pack)
+		cur = a
 	}
-	n.forwardShard(sx, zs, as, s.pack)
 
 	// d(MSE)/d(pred) with the MSE normalized over batch*out elements.
-	pred := as[nl-1]
+	pred := s.as[nl-1][:rows*sy.Cols]
 	scale := 2 / float64(batchTotal*sy.Cols)
 	sse := 0.0
-	dLast := dA[nl-1]
-	for i := range pred.Data {
-		d := pred.Data[i] - sy.Data[i]
+	dLast := s.dA[nl-1][:len(pred)]
+	for i, p := range pred {
+		d := p - sy.Data[i]
 		sse += d * d
-		dLast.Data[i] = d * scale
+		dLast[i] = d * scale
 	}
 
 	for li := nl - 1; li >= 0; li-- {
-		in := sx
+		l := n.layers[li]
+		x, dX := sx.Data, []float64(nil)
 		if li > 0 {
-			in = as[li-1]
+			x, dX = s.as[li-1][:rows*l.in], s.dA[li-1][:rows*l.in]
 		}
-		var dX *Matrix
-		if li > 0 {
-			dX = dA[li-1]
-		}
-		n.layers[li].backward(in, zs[li], dA[li], s.gw[li], s.gb[li], dX)
+		denseBackward(x, rows, l.in, l.w, l.out, l.relu, s.as[li][:rows*l.out], s.dA[li][:rows*l.out], s.gw[li], s.gb[li], dX, &s.gemmScratch)
 	}
 	return sse
 }

@@ -426,3 +426,51 @@ func TestTrainWithValidationRejectsEmpty(t *testing.T) {
 		t.Fatal("accepted empty validation set")
 	}
 }
+
+// BenchmarkTrainEpoch times one TrainEpochs epoch of the network the
+// repo benchmark pretrains (23→128,64,32,16,8→4) on 8,000 rows at batch
+// 256 with one worker, reporting rows/s and GFLOP/s: two FLOPs per
+// multiply-add of every layer's forward pass and weight gradient, and of
+// every input gradient but the first layer's, which training skips. The
+// portable case runs with the AVX kernel switched off: the cost on a
+// host without AVX.
+func BenchmarkTrainEpoch(b *testing.B) {
+	for _, bc := range []struct {
+		name     string
+		portable bool
+	}{
+		{"perfbench-net", false},
+		{"perfbench-net-portable", true},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			if bc.portable {
+				detected := useAVX
+				useAVX = false
+				defer func() { useAVX = detected }()
+			}
+			n, err := New(Config{In: 23, Out: 4, Hidden: []int{128, 64, 32, 16, 8}, Seed: 5, BatchSize: 256, Workers: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			const rows = 8000
+			x, y := randomInput(rows, 23, 3), randomInput(rows, 4, 4)
+			macs := 0
+			for li, l := range n.layers {
+				macs += 2 * l.in * l.out
+				if li > 0 {
+					macs += l.in * l.out
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := n.TrainEpochs(x, y, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+			secs := b.Elapsed().Seconds() / float64(b.N)
+			b.ReportMetric(rows/secs, "rows/s")
+			b.ReportMetric(2*float64(macs)*rows/secs/1e9, "GFLOP/s")
+		})
+	}
+}
