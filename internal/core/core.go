@@ -24,12 +24,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"slices"
 	"sync"
 	"time"
@@ -428,18 +428,28 @@ type fusedScratch struct {
 
 // scratchPool recycles fusedScratch sets across ReconstructRegion
 // calls. A set for the repo benchmark's network is about 1.3 MB;
-// without the pool every call, even a 256-node box query, would
-// allocate and zero one per worker.
-var scratchPool sync.Pool
+// without reuse every call, even a 256-node box query, would allocate
+// and zero one per worker. Unlike sync.Pool, whose per-P slots miss when
+// a worker moves to another P, the free list hands every returned set to
+// the next call of its shape.
+var scratchPool struct {
+	mu   sync.Mutex
+	free []*fusedScratch // most recently returned last
+}
 
-// getFusedScratch returns a pooled scratch set built for this shape, or
-// a new one; a pooled set of another shape is dropped.
+// getFusedScratch returns the most recently pooled scratch set built
+// for this shape, or a new one.
 func getFusedScratch(pred nn.Predictor, inW, outW, k int) *fusedScratch {
 	hidden := pred.Config().Hidden
-	if s, ok := scratchPool.Get().(*fusedScratch); ok &&
-		s.inW == inW && s.outW == outW && s.k == k && slices.Equal(s.hidden, hidden) {
-		return s
+	scratchPool.mu.Lock()
+	for i := len(scratchPool.free) - 1; i >= 0; i-- {
+		if s := scratchPool.free[i]; s.inW == inW && s.outW == outW && s.k == k && slices.Equal(s.hidden, hidden) {
+			scratchPool.free = slices.Delete(scratchPool.free, i, i+1)
+			scratchPool.mu.Unlock()
+			return s
+		}
 	}
+	scratchPool.mu.Unlock()
 	return &fusedScratch{
 		inW:     inW,
 		outW:    outW,
@@ -450,6 +460,23 @@ func getFusedScratch(pred nn.Predictor, inW, outW, k int) *fusedScratch {
 		buf:     pred.NewInferenceBuffers(fusedTile),
 		queries: make([]mathutil.Vec3, 0, fusedTile),
 		nbBuf:   make([]kdtree.Neighbor, 0, k),
+	}
+}
+
+// putFusedScratch returns one call's per-worker sets (nil slots are
+// workers that never ran) to scratchPool. The pool keeps the
+// 2·max(GOMAXPROCS, workers) most recently returned sets: every worker
+// of a call on two alternating network shapes, and no more.
+func putFusedScratch(sets []*fusedScratch) {
+	scratchPool.mu.Lock()
+	defer scratchPool.mu.Unlock()
+	for _, s := range sets {
+		if s != nil {
+			scratchPool.free = append(scratchPool.free, s)
+		}
+	}
+	if over := len(scratchPool.free) - 2*max(runtime.GOMAXPROCS(0), len(sets)); over > 0 {
+		scratchPool.free = slices.Delete(scratchPool.free, 0, over)
 	}
 }
 
@@ -515,13 +542,7 @@ func (r *FCNN) ReconstructRegion(ctx context.Context, p *recon.Plan, region reco
 	// from scratchPool; slots fill lazily because ForChunked may engage
 	// fewer workers.
 	scratch := make([]*fusedScratch, workers)
-	defer func() {
-		for _, s := range scratch {
-			if s != nil {
-				scratchPool.Put(s)
-			}
-		}
-	}()
+	defer putFusedScratch(scratch)
 	for bstart := 0; bstart < len(voidIdx); bstart += batch {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -655,77 +676,55 @@ func (r *FCNN) Clone() (*FCNN, error) {
 	return &cp, nil
 }
 
-// bundle is the gob wire format for a saved FCNN reconstructor.
-type bundle struct {
+// modelHeader is the JSON header of the model format; modelVersion is
+// its format version.
+type modelHeader struct {
 	Version   int
 	Opts      Options
 	Norm      features.Normalizer
 	FieldName string
-	Model     []byte
 }
 
-const bundleVersion = 1
+const modelVersion = 1
 
-// Save writes the reconstructor (options, normalizer, weights) to w.
+// Save writes the reconstructor in the model format: a little-endian
+// uint64 length, a JSON modelHeader (format version, options,
+// normalizer, field name), then the network's bytes (nn.Network.Save).
+// The bytes depend only on the model's values, so equal models save to
+// equal bytes in every process; a model id is their FNV-1a hash.
 func (r *FCNN) Save(w io.Writer) error {
-	var buf bytes.Buffer
-	if err := r.net.Save(&buf); err != nil {
-		return err
-	}
-	return gob.NewEncoder(w).Encode(&bundle{
-		Version:   bundleVersion,
-		Opts:      r.opts,
-		Norm:      *r.norm,
-		FieldName: r.fieldName,
-		Model:     buf.Bytes(),
-	})
-}
-
-// WriteStable writes the reconstructor's persistent state in a
-// canonical byte form for content addressing: a length-prefixed JSON
-// header (bundle version, options, normalizer, field name) followed by
-// the network's stable dump (see nn.Network.WriteStable). Save's gob
-// stream embeds process-global type ids that vary with encoding
-// history, so equal models can serialize to different gob bytes in
-// different processes; these bytes depend only on the model's values,
-// which is what lets a model id minted by one process verify in
-// another.
-func (r *FCNN) WriteStable(w io.Writer) error {
-	hdr, err := json.Marshal(struct {
-		Version   int
-		Opts      Options
-		Norm      features.Normalizer
-		FieldName string
-	}{bundleVersion, r.opts, *r.norm, r.fieldName})
+	hdr, err := json.Marshal(modelHeader{modelVersion, r.opts, *r.norm, r.fieldName})
 	if err != nil {
 		return err
 	}
-	var n [8]byte
-	binary.LittleEndian.PutUint64(n[:], uint64(len(hdr)))
-	if _, err := w.Write(n[:]); err != nil {
+	if _, err := w.Write(append(binary.LittleEndian.AppendUint64(nil, uint64(len(hdr))), hdr...)); err != nil {
 		return err
 	}
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	return r.net.WriteStable(w)
+	return r.net.Save(w)
 }
 
-// Load reads a reconstructor previously written with Save.
+// Load reads a reconstructor written by Save.
 func Load(rd io.Reader) (*FCNN, error) {
-	var b bundle
-	if err := gob.NewDecoder(rd).Decode(&b); err != nil {
-		return nil, fmt.Errorf("core: decoding model bundle: %w", err)
+	b, err := io.ReadAll(rd)
+	if err != nil {
+		return nil, fmt.Errorf("core: reading model: %w", err)
 	}
-	if b.Version != bundleVersion {
-		return nil, fmt.Errorf("core: unsupported bundle version %d", b.Version)
+	if len(b) < 8 || binary.LittleEndian.Uint64(b) > uint64(len(b)-8) {
+		return nil, errors.New("core: model header truncated")
 	}
-	net, err := nn.Load(bytes.NewReader(b.Model))
+	end := 8 + int(binary.LittleEndian.Uint64(b))
+	var h modelHeader
+	if err := json.Unmarshal(b[8:end], &h); err != nil {
+		return nil, fmt.Errorf("core: decoding model header: %w", err)
+	}
+	if h.Version != modelVersion {
+		return nil, fmt.Errorf("core: unsupported model version %d", h.Version)
+	}
+	net, err := nn.Load(bytes.NewReader(b[end:]))
 	if err != nil {
 		return nil, err
 	}
-	norm := b.Norm
-	return &FCNN{opts: b.Opts.withDefaults(), net: net, norm: &norm, fieldName: b.FieldName, tm: &timings{}}, nil
+	return &FCNN{opts: h.Opts.withDefaults(), net: net, norm: &h.Norm, fieldName: h.FieldName, tm: &timings{}}, nil
 }
 
 // SaveFile writes the reconstructor to path.

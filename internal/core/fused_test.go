@@ -82,7 +82,7 @@ func untrainedFCNN(t *testing.T, workers, reconBatch int) *FCNN {
 }
 
 // untrainedFCNNHidden is untrainedFCNN with the given hidden widths.
-func untrainedFCNNHidden(t *testing.T, workers, reconBatch int, hidden []int) *FCNN {
+func untrainedFCNNHidden(t testing.TB, workers, reconBatch int, hidden []int) *FCNN {
 	t.Helper()
 	cfg := features.DefaultConfig()
 	net, err := nn.New(nn.Config{

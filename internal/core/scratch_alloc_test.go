@@ -1,8 +1,3 @@
-//go:build !race
-
-// The race detector makes sync.Pool drop a random share of Puts, so
-// allocation counts of pooled paths only mean something without it.
-
 package core
 
 import (
@@ -15,7 +10,8 @@ import (
 
 // TestWarmBoxQueryReusesScratch pins scratchPool: once warm, an 8×8×4
 // box query on the repo benchmark's network shape allocates a small
-// fraction of its ~1.3 MB fused scratch per call.
+// fraction of its ~1.3 MB fused scratch per call, whichever Ps its
+// workers run on and whatever shapes earlier tests left in the pool.
 func TestWarmBoxQueryReusesScratch(t *testing.T) {
 	r := untrainedFCNNHidden(t, 2, 0, []int{128, 64, 32, 16, 8})
 	p := goldenPlan(t)

@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -418,7 +420,9 @@ func TestSpecValidate(t *testing.T) {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
-	big := mutate(func(s *Spec) { s.Grid = recon.GridSpec{NX: 1 << 20, NY: 1 << 20, NZ: 1 << 20, Spacing: mathutil.Vec3{X: 1, Y: 1, Z: 1}} })
+	big := mutate(func(s *Spec) {
+		s.Grid = recon.GridSpec{NX: 1 << 20, NY: 1 << 20, NZ: 1 << 20, Spacing: mathutil.Vec3{X: 1, Y: 1, Z: 1}}
+	})
 	if err := big.Validate(1 << 30); err == nil {
 		t.Error("grid over the point bound accepted (overflow in the bound check?)")
 	}
@@ -462,12 +466,11 @@ func TestModelStorePersistsAndVerifies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	decoded, err := core.Load(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatalf("stored bytes do not decode: %v", err)
+	if got := idOf(raw); got != id {
+		t.Fatalf("stored bytes hash to %s, not their id %s", got, id)
 	}
-	if got, err := IDForModel(decoded); err != nil || got != id {
-		t.Fatalf("stored bytes do not hash to their id: %s vs %s (%v)", got, id, err)
+	if _, err := core.Load(bytes.NewReader(raw)); err != nil {
+		t.Fatalf("stored bytes do not decode: %v", err)
 	}
 	// Same weights → same id (content addressing), no duplicate entry.
 	id2, err := ms.Put(model)
@@ -487,12 +490,35 @@ func TestModelStorePersistsAndVerifies(t *testing.T) {
 		t.Fatalf("persisted model not readable after restart: %v", err)
 	}
 
-	// PutBytes round-trips and rejects garbage.
-	if got, err := ms2.PutBytes(raw); err != nil || got != id {
-		t.Fatalf("PutBytes: id %s err %v", got, err)
+	// PutBytes round-trips and refuses garbage and bytes filed under an
+	// id they do not hash to.
+	if err := ms2.PutBytes(id, raw); err != nil {
+		t.Fatalf("PutBytes: %v", err)
 	}
-	if _, err := ms2.PutBytes([]byte("not a model")); err == nil {
+	if err := ms2.PutBytes(idOf([]byte("not a model")), []byte("not a model")); err == nil {
 		t.Fatal("PutBytes accepted garbage")
+	}
+	const other = "0123456789abcdef"
+	if err := ms2.PutBytes(other, raw); !errors.Is(err, ErrModelNotFound) {
+		t.Fatalf("PutBytes under a foreign id: err = %v, want ErrModelNotFound", err)
+	}
+	if _, err := ms2.Get(other); !errors.Is(err, ErrModelNotFound) {
+		t.Fatalf("refused bytes were stored: err = %v", err)
+	}
+
+	// A tampered file reads as missing: its bytes no longer hash to id.
+	path := filepath.Join(dir, id+".fcnn")
+	tampered := bytes.Clone(raw)
+	tampered[len(tampered)-1] ^= 1
+	if err := os.WriteFile(path, tampered, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ms3, err := NewModelStore(dir, 2, tel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ms3.Get(id); !errors.Is(err, ErrModelNotFound) {
+		t.Fatalf("tampered model file: err = %v, want ErrModelNotFound", err)
 	}
 	if _, err := ms2.Get("0000000000000000"); !errors.Is(err, ErrModelNotFound) {
 		t.Fatalf("unknown id: err = %v, want ErrModelNotFound", err)

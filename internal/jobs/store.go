@@ -18,11 +18,12 @@ import (
 var ErrModelNotFound = errors.New("jobs: model not found")
 
 // ModelStore is the content-addressed model artifact store: the
-// model_id is a hash of the serialized weights, so equal models share
-// one entry and an id can never silently point at different weights.
-// It keeps a bounded in-memory cache of decoded models and, when given
-// a directory, persists every model so ids survive restarts (which is
-// what lets a resumed job's clients keep their model_id).
+// model_id is the hash of a model's bytes (core.FCNN.Save), so equal
+// models share one entry and an id can never silently point at
+// different weights. It keeps a bounded in-memory cache of models,
+// bytes and decoded form, and, when given a directory, persists every
+// model's bytes so ids survive restarts (which is what lets a resumed
+// job's clients keep their model_id).
 type ModelStore struct {
 	mu  sync.Mutex
 	max int
@@ -80,91 +81,91 @@ func validModelID(id string) error {
 	return nil
 }
 
-// IDForModel is the content address of a model: FNV-1a 64 over its
-// canonical stable serialization (core.FCNN.WriteStable), 16 hex
-// digits (the same shape as cloud ids). The gob bytes Save produces
-// embed process-global type ids that shift with the process's encoding
-// history, so hashing them would mint different ids for the same model
-// in different processes; the stable form hashes only the model's
-// values, which is what lets the id a training process mints verify in
-// every process that later loads the artifact.
+// IDForModel is the content address of a model: the id of its saved
+// bytes (see idOf). Save's bytes depend only on the model's values, so
+// the id a training process mints verifies in every process that later
+// loads the artifact.
 func IDForModel(m *core.FCNN) (string, error) {
-	h := fnv.New64a()
-	if err := m.WriteStable(h); err != nil {
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
 		return "", err
 	}
-	return fmt.Sprintf("%016x", h.Sum64()), nil
+	return idOf(buf.Bytes()), nil
 }
 
-// Put serializes m and stores it, returning its model_id.
+// idOf is the content address of serialized model bytes: FNV-1a 64, 16
+// hex digits (the same shape as cloud ids).
+func idOf(raw []byte) string {
+	h := fnv.New64a()
+	h.Write(raw)
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// Put serializes m once and stores it, returning its model_id.
 func (s *ModelStore) Put(m *core.FCNN) (string, error) {
 	var buf bytes.Buffer
 	if err := m.Save(&buf); err != nil {
 		return "", err
 	}
-	return s.putLocked(buf.Bytes(), m)
-}
-
-// PutBytes stores an already-serialized model (e.g. replicated from a
-// peer), validating it decodes before accepting.
-func (s *ModelStore) PutBytes(b []byte) (string, error) {
-	m, err := core.Load(bytes.NewReader(b))
-	if err != nil {
-		return "", fmt.Errorf("jobs: invalid model bytes: %w", err)
-	}
-	cp := make([]byte, len(b))
-	copy(cp, b)
-	return s.putLocked(cp, m)
-}
-
-func (s *ModelStore) putLocked(raw []byte, m *core.FCNN) (string, error) {
-	id, err := IDForModel(m)
-	if err != nil {
+	id := idOf(buf.Bytes())
+	if err := s.put(id, buf.Bytes(), m); err != nil {
 		return "", err
-	}
-	s.mu.Lock()
-	_, existed := s.entries[id]
-	if !existed {
-		s.entries[id] = &modelEntry{raw: raw, model: m}
-	}
-	s.touch(id)
-	s.evict()
-	s.mu.Unlock()
-	if !existed {
-		s.tel.Counter("jobs.models.stored").Inc()
-	}
-	if s.dir != "" {
-		if err := s.persist(id, raw); err != nil {
-			return "", err
-		}
 	}
 	return id, nil
 }
 
-// persist writes the model file atomically (temp + rename), so a
-// crash mid-write can never leave a torn artifact under a valid id.
-func (s *ModelStore) persist(id string, raw []byte) error {
-	path := s.path(id)
-	if _, err := os.Stat(path); err == nil {
-		return nil // content-addressed: an existing file is already right
-	}
-	tmp, err := os.CreateTemp(s.dir, ".model-*")
+// PutBytes stores serialized model bytes (e.g. replicated from a peer)
+// under id, refusing bytes that do not hash to id or do not decode.
+func (s *ModelStore) PutBytes(id string, b []byte) error {
+	m, err := decode(id, b)
 	if err != nil {
 		return err
 	}
-	_, werr := tmp.Write(raw)
-	if werr == nil {
-		werr = tmp.Sync()
+	return s.put(id, bytes.Clone(b), m)
+}
+
+// decode checks that raw hashes to id, then decodes it: a torn or
+// tampered artifact is refused before it costs a decode.
+func decode(id string, raw []byte) (*core.FCNN, error) {
+	if idOf(raw) != id {
+		return nil, fmt.Errorf("jobs: model bytes do not hash to %s: %w", id, ErrModelNotFound)
 	}
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
+	m, err := core.Load(bytes.NewReader(raw))
+	if err != nil {
+		return nil, fmt.Errorf("jobs: model %s does not decode (%v): %w", id, err, ErrModelNotFound)
 	}
-	if werr != nil {
-		//lint:allow errdrop: best-effort cleanup of a temp file already being reported
-		_ = os.Remove(tmp.Name())
-		return werr
+	return m, nil
+}
+
+// put caches a verified model and persists its bytes through
+// atomicWrite, so a crash mid-write never leaves a torn file under a
+// valid id.
+func (s *ModelStore) put(id string, raw []byte, m *core.FCNN) error {
+	if _, added := s.insert(id, &modelEntry{raw: raw, model: m}); added {
+		s.tel.Counter("jobs.models.stored").Inc()
 	}
-	return os.Rename(tmp.Name(), path)
+	if s.dir == "" {
+		return nil
+	}
+	if _, err := os.Stat(s.path(id)); err == nil {
+		return nil // content-addressed: an existing file is already right
+	}
+	return atomicWrite(s.dir, id+".fcnn", raw)
+}
+
+// insert caches e under id unless id is cached already, and returns the
+// cached entry and whether it is e.
+func (s *ModelStore) insert(id string, e *modelEntry) (*modelEntry, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	cur, ok := s.entries[id]
+	if !ok {
+		s.entries[id] = e
+		cur = e
+	}
+	s.touch(id)
+	s.evict()
+	return cur, !ok
 }
 
 func (s *ModelStore) path(id string) string {
@@ -212,27 +213,13 @@ func (s *ModelStore) lookup(id string) (*modelEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The file is trusted less than memory: decode it and verify the
-	// content address, so a corrupted artifact reads as missing rather
-	// than as wrong weights (a torn file fails the decode, a tampered
-	// one fails the hash).
-	m, err := core.Load(bytes.NewReader(raw))
+	// The file is trusted less than memory: a torn or tampered file fails
+	// its content hash and reads as missing rather than as wrong weights.
+	m, err := decode(id, raw)
 	if err != nil {
-		return nil, fmt.Errorf("jobs: model file %s does not decode: %w", id, ErrModelNotFound)
+		return nil, err
 	}
-	if got, err := IDForModel(m); err != nil || got != id {
-		return nil, fmt.Errorf("jobs: model file %s fails its content hash: %w", id, ErrModelNotFound)
-	}
-	e := &modelEntry{raw: raw, model: m}
-	s.mu.Lock()
-	if cur, ok := s.entries[id]; ok {
-		e = cur
-	} else {
-		s.entries[id] = e
-	}
-	s.touch(id)
-	s.evict()
-	s.mu.Unlock()
+	e, _ := s.insert(id, &modelEntry{raw: raw, model: m})
 	return e, nil
 }
 

@@ -421,8 +421,7 @@ func scalarShardGradient(n *Network, sx, sy *Matrix, s *trainScratch, batchTotal
 // one, two and three workers, once as production does and once on the
 // scalar oracles, under both dispatches. 1,050 rows leave a last batch
 // of 50, and three workers make uneven shards (34, 34, 32 and 17, 17,
-// 16 rows). Losses, weights and WriteStable bytes must agree bit for
-// bit.
+// 16 rows). Losses, weights and Save bytes must agree bit for bit.
 func TestTrainingMatchesScalarOracle(t *testing.T) {
 	withKernelDispatch(t, func(t *testing.T) {
 		x, y := randomInput(1050, 23, 1), randomInput(1050, 4, 2)
@@ -456,14 +455,14 @@ func TestTrainingMatchesScalarOracle(t *testing.T) {
 				}
 			}
 			var pb, ob bytes.Buffer
-			if err := prod.WriteStable(&pb); err != nil {
+			if err := prod.Save(&pb); err != nil {
 				t.Fatal(err)
 			}
-			if err := oracle.WriteStable(&ob); err != nil {
+			if err := oracle.Save(&ob); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(pb.Bytes(), ob.Bytes()) {
-				t.Fatalf("workers=%d: WriteStable bytes differ from the oracle's", workers)
+				t.Fatalf("workers=%d: Save bytes differ from the oracle's", workers)
 			}
 		}
 	})

@@ -2,7 +2,7 @@
 // dense layers with ReLU activations, mean-squared-error loss, the Adam
 // optimizer, minibatch training with data-parallel gradient computation
 // across CPU cores, per-layer freezing for transfer-learning
-// fine-tuning (the paper's Case 2), and gob-based model serialization.
+// fine-tuning (the paper's Case 2), and the model format (Save/Load).
 // It implements exactly the model family the paper trains — small MLP
 // regressors — with no external dependencies.
 package nn

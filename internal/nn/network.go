@@ -145,20 +145,15 @@ type adamPair struct {
 
 // New constructs a network with He-initialized weights.
 func New(cfg Config) (*Network, error) {
-	if cfg.In < 1 || cfg.Out < 1 {
-		return nil, fmt.Errorf("nn: invalid in/out %d/%d", cfg.In, cfg.Out)
-	}
-	for _, h := range cfg.Hidden {
-		if h < 1 {
-			return nil, fmt.Errorf("nn: invalid hidden width %d", h)
-		}
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 256
 	}
 	cfg.Adam = cfg.Adam.withDefaults()
 	n := &Network{cfg: cfg, shuffle: mathutil.NewSplitMix(cfg.Seed ^ 0x7a21b3)}
-	widths := append(append([]int{cfg.In}, cfg.Hidden...), cfg.Out)
+	widths := cfg.layerWidths()
 	rng := mathutil.NewRNG(cfg.Seed)
 	for i := 0; i+1 < len(widths); i++ {
 		relu := i+2 < len(widths) // last layer is linear
@@ -168,6 +163,33 @@ func New(cfg Config) (*Network, error) {
 		n.opts = append(n.opts, &adamPair{w: newAdam(len(l.w)), b: newAdam(len(l.b))})
 	}
 	return n, nil
+}
+
+func (c Config) validate() error {
+	if c.In < 1 || c.Out < 1 {
+		return fmt.Errorf("nn: invalid in/out %d/%d", c.In, c.Out)
+	}
+	for _, h := range c.Hidden {
+		if h < 1 {
+			return fmt.Errorf("nn: invalid hidden width %d", h)
+		}
+	}
+	return nil
+}
+
+// fits reports whether size bytes can hold the weights and biases of a
+// valid config's layers, computed without overflow.
+func (c Config) fits(size int) bool {
+	left := size / 8
+	ws := c.layerWidths()
+	for i := 1; i < len(ws); i++ {
+		in, out := ws[i-1], ws[i]
+		if in > left/out || in*out > left-out {
+			return false
+		}
+		left -= in*out + out
+	}
+	return true
 }
 
 // Config returns the construction configuration.
@@ -650,7 +672,11 @@ func (n *Network) trainBatch(bx, by *Matrix, scratch []*trainScratch, gw, gb [][
 		w := lo / chunk
 		losses[w] = grad(n, bx.SliceRows(lo, hi), by.SliceRows(lo, hi), scratch[w], bn)
 	})
-	// Fixed-order reduction keeps training deterministic.
+	// Fixed-order reduction keeps training deterministic. ForChunked
+	// runs only the shards that hold rows (5 rows on 4 workers make 3),
+	// so only those are reduced: a skipped worker's scratch still holds
+	// an earlier batch's gradient.
+	shards := (bn + chunk - 1) / chunk
 	for li := range n.layers {
 		gwl, gbl := gw[li], gb[li]
 		for i := range gwl {
@@ -659,7 +685,7 @@ func (n *Network) trainBatch(bx, by *Matrix, scratch []*trainScratch, gw, gb [][
 		for i := range gbl {
 			gbl[i] = 0
 		}
-		for w := 0; w < workers; w++ {
+		for w := 0; w < shards; w++ {
 			sw := scratch[w].gw[li]
 			for i, v := range sw {
 				gwl[i] += v

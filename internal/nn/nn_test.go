@@ -2,6 +2,8 @@ package nn
 
 import (
 	"bytes"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"testing"
 	"testing/quick"
@@ -212,13 +214,22 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if _, err := net.TrainEpochs(x, y, 10); err != nil {
 		t.Fatal(err)
 	}
+	net.FreezeAllButLast(1)
 	var buf bytes.Buffer
 	if err := net.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
+	saved := bytes.Clone(buf.Bytes())
 	loaded, err := Load(&buf)
 	if err != nil {
 		t.Fatal(err)
+	}
+	var again bytes.Buffer
+	if err := loaded.Save(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), saved) {
+		t.Fatal("saving a loaded model changed its bytes")
 	}
 	p1, _ := net.Predict(x)
 	p2, _ := loaded.Predict(x)
@@ -229,6 +240,23 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	if len(loaded.Losses) != len(net.Losses) {
 		t.Fatal("loss history not preserved")
+	}
+}
+
+// TestSaveBytesPinned pins the FNV-1a hash of a seeded untrained
+// network's bytes. The value was recorded from the canonical form model
+// ids hashed before Save wrote it, so existing model ids stay valid.
+func TestSaveBytesPinned(t *testing.T) {
+	net, err := New(Config{In: 23, Out: 4, Hidden: []int{16, 8}, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	if err := net.Save(h); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprintf("%016x", h.Sum64()), "37dbbf4e600fee7b"; got != want {
+		t.Fatalf("network bytes hash to %s, want %s", got, want)
 	}
 }
 

@@ -2,166 +2,168 @@ package nn
 
 import (
 	"encoding/binary"
-	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"os"
+	"math"
 )
 
-// modelFile is the gob wire format for a saved network. Optimizer state
-// is not persisted — a reloaded model is ready for inference or for
-// fresh fine-tuning, matching the paper's deployment model (store the
+// The model format is the one byte form of a network: files, the model
+// store, peer copies and model ids (FNV-1a of these bytes) all use it.
+// Every integer is a little-endian uint64 and every float64 its
+// little-endian IEEE-754 bits:
+//
+//	version | len, JSON Config | layers |
+//	per layer: len, weights | len, biases | frozen (0 or 1) |
+//	len, losses
+//
+// The bytes depend only on the network's values, so equal networks
+// serialize identically in every process. Optimizer state is not
+// persisted: a loaded model is ready for inference or for fresh
+// fine-tuning, matching the paper's deployment model (store the
 // pretrained model once, fine-tune per timestep as needed).
-type modelFile struct {
-	Version int
-	Config  Config
-	Weights [][]float64
-	Biases  [][]float64
-	Frozen  []bool
-	Losses  []float64
-}
-
 const modelVersion = 1
 
-// Save writes the network to w in gob format. The weights, biases and
-// loss history are snapshotted under the network's mutex before
-// encoding, so Save is safe to call while another goroutine trains or
-// fine-tunes the network (the snapshot is a consistent post-step state;
-// see the Network ownership rule). Encoding itself runs outside the
-// lock so a slow writer never stalls training.
+// Save writes the network in the model format. The bytes are encoded
+// under the network's mutex, so Save is safe to call while another
+// goroutine trains or fine-tunes the network (they are a consistent
+// post-step state; see the Network ownership rule); the write itself
+// runs outside the lock so a slow writer never stalls training.
 func (n *Network) Save(w io.Writer) error {
-	mf := n.snapshot()
-	return gob.NewEncoder(w).Encode(&mf)
-}
-
-// snapshot copies the mutable state (weights, biases, freeze flags,
-// losses) under the mutex into a detached modelFile.
-func (n *Network) snapshot() modelFile {
-	mf := modelFile{
-		Version: modelVersion,
-		Config:  n.cfg,
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	mf.Losses = append([]float64(nil), n.Losses...)
-	for _, l := range n.layers {
-		mf.Weights = append(mf.Weights, append([]float64(nil), l.w...))
-		mf.Biases = append(mf.Biases, append([]float64(nil), l.b...))
-		mf.Frozen = append(mf.Frozen, l.frozen)
-	}
-	return mf
-}
-
-// WriteStable writes the network's persistent state — the same fields
-// Save encodes — in a canonical byte form: a JSON config header
-// (length-prefixed) followed by little-endian weight/bias/loss arrays.
-// Unlike gob, whose streams embed process-global type ids that shift
-// with whatever the process happened to encode earlier, these bytes
-// depend only on the values, so content addressing can hash them and
-// get the same id for the same network in every process.
-func (n *Network) WriteStable(w io.Writer) error {
-	mf := n.snapshot()
-	cfg, err := json.Marshal(mf.Config)
+	cfg, err := json.Marshal(n.cfg)
 	if err != nil {
 		return err
 	}
 	le := binary.LittleEndian
-	writeU64 := func(v uint64) error {
-		var b [8]byte
-		le.PutUint64(b[:], v)
-		_, err := w.Write(b[:])
-		return err
-	}
-	writeF64s := func(s []float64) error {
-		if err := writeU64(uint64(len(s))); err != nil {
-			return err
-		}
-		return binary.Write(w, le, s)
-	}
-	if err := writeU64(uint64(mf.Version)); err != nil {
-		return err
-	}
-	if err := writeU64(uint64(len(cfg))); err != nil {
-		return err
-	}
-	if _, err := w.Write(cfg); err != nil {
-		return err
-	}
-	if err := writeU64(uint64(len(mf.Weights))); err != nil {
-		return err
-	}
-	for i := range mf.Weights {
-		if err := writeF64s(mf.Weights[i]); err != nil {
-			return err
-		}
-		if err := writeF64s(mf.Biases[i]); err != nil {
-			return err
-		}
+	b := le.AppendUint64(nil, modelVersion)
+	b = append(le.AppendUint64(b, uint64(len(cfg))), cfg...)
+	n.mu.Lock()
+	b = le.AppendUint64(b, uint64(len(n.layers)))
+	for _, l := range n.layers {
+		b = appendF64s(appendF64s(b, l.w), l.b)
 		var frozen uint64
-		if mf.Frozen[i] {
+		if l.frozen {
 			frozen = 1
 		}
-		if err := writeU64(frozen); err != nil {
-			return err
-		}
+		b = le.AppendUint64(b, frozen)
 	}
-	return writeF64s(mf.Losses)
+	b = appendF64s(b, n.Losses)
+	n.mu.Unlock()
+	_, err = w.Write(b)
+	return err
 }
 
-// Load reads a network previously written by Save.
+func appendF64s(b []byte, s []float64) []byte {
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(s)))
+	for _, v := range s {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	return b
+}
+
+// Load reads a network written by Save. Every length is checked against
+// the bytes left and every array against the shape the config implies,
+// and the whole shape against the input's size before New allocates, so
+// a short input cannot make Load allocate more than it could fill.
 func Load(r io.Reader) (*Network, error) {
-	var mf modelFile
-	if err := gob.NewDecoder(r).Decode(&mf); err != nil {
-		return nil, fmt.Errorf("nn: decoding model: %w", err)
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("nn: reading model: %w", err)
 	}
-	if mf.Version != modelVersion {
-		return nil, fmt.Errorf("nn: unsupported model version %d", mf.Version)
+	d := &decoder{b: b}
+	if v := d.u64(); d.err == nil && v != modelVersion {
+		return nil, fmt.Errorf("nn: unsupported model version %d", v)
 	}
-	n, err := New(mf.Config)
+	var cfg Config
+	if raw := d.next(d.u64()); d.err == nil {
+		if err := json.Unmarshal(raw, &cfg); err != nil {
+			return nil, fmt.Errorf("nn: decoding model config: %w", err)
+		}
+	}
+	layers := d.u64()
+	if d.err != nil {
+		return nil, d.err
+	}
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	if want := uint64(len(cfg.Hidden) + 1); layers != want {
+		return nil, fmt.Errorf("nn: model has %d layers, config implies %d", layers, want)
+	}
+	if !cfg.fits(len(d.b)) {
+		return nil, fmt.Errorf("nn: config declares more parameters than the model's %d bytes hold", len(b))
+	}
+	n, err := New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if len(mf.Weights) != len(n.layers) || len(mf.Biases) != len(n.layers) {
-		return nil, fmt.Errorf("nn: model has %d layers, config implies %d", len(mf.Weights), len(n.layers))
-	}
 	for i, l := range n.layers {
-		if len(mf.Weights[i]) != len(l.w) || len(mf.Biases[i]) != len(l.b) {
-			return nil, fmt.Errorf("nn: layer %d shape mismatch", i)
+		for _, a := range [][]float64{l.w, l.b} {
+			if k := d.u64(); d.err == nil && k != uint64(len(a)) {
+				d.err = fmt.Errorf("nn: layer %d array has %d values, config implies %d", i, k, len(a))
+			}
+			d.f64s(a)
 		}
-		copy(l.w, mf.Weights[i])
-		copy(l.b, mf.Biases[i])
-		if i < len(mf.Frozen) {
-			l.frozen = mf.Frozen[i]
+		switch f := d.u64(); f {
+		case 0, 1:
+			l.frozen = f == 1
+		default:
+			d.err = fmt.Errorf("nn: layer %d has freeze flag %d, want 0 or 1", i, f)
 		}
 	}
-	n.Losses = mf.Losses
+	if k := d.u64(); d.err == nil && k > 0 {
+		if k > uint64(len(d.b)/8) {
+			return nil, errTruncated
+		}
+		n.Losses = make([]float64, k)
+		d.f64s(n.Losses)
+	}
+	if d.err != nil {
+		return nil, d.err
+	}
+	if len(d.b) > 0 {
+		return nil, fmt.Errorf("nn: %d trailing bytes after the model", len(d.b))
+	}
 	return n, nil
 }
 
-// SaveFile writes the model to path.
-func (n *Network) SaveFile(path string) (err error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}()
-	return n.Save(f)
+var errTruncated = fmt.Errorf("nn: model truncated: %w", io.ErrUnexpectedEOF)
+
+// decoder walks the model format, keeping the first error.
+type decoder struct {
+	b   []byte
+	err error
 }
 
-// LoadFile reads a model from path.
-func LoadFile(path string) (*Network, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
+// next consumes k bytes (nil after an error).
+func (d *decoder) next(k uint64) []byte {
+	if d.err != nil {
+		return nil
 	}
-	defer f.Close()
-	return Load(f)
+	if k > uint64(len(d.b)) {
+		d.err = errTruncated
+		return nil
+	}
+	out := d.b[:k]
+	d.b = d.b[k:]
+	return out
+}
+
+func (d *decoder) u64() uint64 {
+	if b := d.next(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
+	}
+	return 0
+}
+
+// f64s fills dst from the next len(dst) values.
+func (d *decoder) f64s(dst []float64) {
+	if b := d.next(8 * uint64(len(dst))); b != nil {
+		for i := range dst {
+			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+		}
+	}
 }
 
 // TrainState is the complete resumable training state of a network:

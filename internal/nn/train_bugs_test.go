@@ -113,3 +113,40 @@ func TestEpochLossEqualsDatasetMSE(t *testing.T) {
 		t.Fatalf("epoch loss %g, dataset MSE %g (rel err %g)", losses[0], want, rel)
 	}
 }
+
+// TestTrainBatchSkipsEmptyShards pins the fix for a stale gradient: on
+// 4 workers an 8-row batch fills every shard, but a 5-row batch fills
+// only three (2, 2 and 1 rows). The fourth worker's scratch still holds
+// the 8-row batch's gradient, and the reduction must not add it: the
+// 5-row gradient has to equal one computed on fresh scratch. Every
+// layer is frozen, so the first batch's step leaves the weights alone.
+func TestTrainBatchSkipsEmptyShards(t *testing.T) {
+	x, y := randomInput(8, 4, 1), randomInput(8, 1, 2)
+	gradOf5 := func(warm bool) [][]float64 {
+		n, err := New(Config{In: 4, Out: 1, Hidden: []int{4}, Seed: 3, Workers: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.FreezeAllButLast(0)
+		scratch := make([]*trainScratch, 4)
+		for w := range scratch {
+			scratch[w] = n.newTrainScratch(2)
+		}
+		var gw, gb [][]float64
+		for _, l := range n.layers {
+			gw = append(gw, make([]float64, len(l.w)))
+			gb = append(gb, make([]float64, len(l.b)))
+		}
+		if warm {
+			n.trainBatch(x, y, scratch, gw, gb, 4, n.cfg.Adam, (*Network).shardGradient)
+		}
+		n.trainBatch(x.SliceRows(0, 5), y.SliceRows(0, 5), scratch, gw, gb, 4, n.cfg.Adam, (*Network).shardGradient)
+		return gw
+	}
+	got, want := gradOf5(true), gradOf5(false)
+	for li := range want {
+		if e := sameBits(got[li], want[li]); e >= 0 {
+			t.Fatalf("layer %d dW[%d] = %v after an 8-row batch, %v on fresh scratch", li, e, got[li][e], want[li][e])
+		}
+	}
+}

@@ -123,8 +123,8 @@ func TestGoldenTrainJobBitIdentity(t *testing.T) {
 		t.Fatalf("job-trained model id %s differs from the direct run's %s (training is not bit-identical)",
 			st.ModelID, directID)
 	}
-	// The serialized artifacts must agree too: both runs happen in this
-	// process, so even the gob container bytes are comparable.
+	// The saved bytes must agree too: the model format depends only on
+	// the model's values, so bytes from any process are comparable.
 	if !bytes.Equal(directBytes.Bytes(), jobBytes) {
 		t.Fatalf("job-trained model (%d bytes) is not byte-identical to the direct run (%d bytes)",
 			len(jobBytes), directBytes.Len())

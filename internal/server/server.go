@@ -756,7 +756,10 @@ func (s *Server) resolveMethod(ctx context.Context, req *ReconstructRequest, r *
 		return nil, "", http.StatusBadRequest,
 			fmt.Errorf("model_id selects a stored fcnn model; method must be empty or \"fcnn\", not %q", req.Method)
 	}
-	m, err := s.getModel(ctx, req.ModelID, r)
+	m, err := s.models.Get(req.ModelID)
+	if errors.Is(err, jobs.ErrModelNotFound) && s.pullModel(ctx, req.ModelID, r) {
+		m, err = s.models.Get(req.ModelID)
+	}
 	if err != nil {
 		if errors.Is(err, jobs.ErrModelNotFound) {
 			return nil, "", http.StatusNotFound,
@@ -767,25 +770,23 @@ func (s *Server) resolveMethod(ctx context.Context, req *ReconstructRequest, r *
 	return m, "fcnn", 0, nil
 }
 
-// getModel resolves a model id locally, pulling from cluster peers on a
-// miss (the fetched bytes are cached, so the next query is local).
-func (s *Server) getModel(ctx context.Context, id string, r *http.Request) (recon.Reconstructor, error) {
-	m, err := s.models.Get(id)
-	if err == nil {
-		return m, nil
-	}
-	if !errors.Is(err, jobs.ErrModelNotFound) || s.cluster == nil || cluster.IsInternal(r) || !jobs.ValidID(id) {
-		return nil, err
+// pullModel copies model id from the first cluster peer that has it
+// into the local store and reports whether it did. The store refuses
+// bytes that do not hash to id, so a peer cannot file another model
+// under it. Internal requests never pull, which stops peer loops.
+func (s *Server) pullModel(ctx context.Context, id string, r *http.Request) bool {
+	if s.cluster == nil || cluster.IsInternal(r) || !jobs.ValidID(id) {
+		return false
 	}
 	status, body, found := s.cluster.QueryPeers(ctx, http.MethodGet, "/v1/models/"+id)
 	if !found || status != http.StatusOK {
-		return nil, err
+		return false
 	}
-	if _, perr := s.models.PutBytes(body); perr != nil {
-		telemetry.Warnf("peer model fetch returned invalid bytes", "model", id, "err", perr)
-		return nil, err
+	if err := s.models.PutBytes(id, body); err != nil {
+		telemetry.Warnf("peer model fetch returned invalid bytes", "model", id, "err", err)
+		return false
 	}
-	return s.models.Get(id)
+	return true
 }
 
 // replicaID names this replica in clustered responses; empty (and

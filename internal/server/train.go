@@ -245,19 +245,16 @@ func jobStatusJSON(st jobs.Status, replica string) *JobStatusResponse {
 	}
 }
 
-// handleModelGet serves GET /v1/models/{id}: the serialized model
-// bundle (application/octet-stream), pulled from a peer and cached on
-// a local miss. The bytes round-trip through POST /v1/reconstruct's
-// model_id on any replica, or load offline via core.Load.
+// handleModelGet serves GET /v1/models/{id}: the model's bytes in the
+// model format (application/octet-stream), pulled from a peer and
+// cached on a local miss. The bytes hash to id, round-trip through POST
+// /v1/reconstruct's model_id on any replica, and load offline via
+// core.Load.
 func (s *Server) handleModelGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	b, err := s.models.Bytes(id)
-	if errors.Is(err, jobs.ErrModelNotFound) && s.cluster != nil && !cluster.IsInternal(r) && jobs.ValidID(id) {
-		if status, body, found := s.cluster.QueryPeers(r.Context(), http.MethodGet, "/v1/models/"+id); found && status == http.StatusOK {
-			if _, perr := s.models.PutBytes(body); perr == nil {
-				b, err = body, nil
-			}
-		}
+	if errors.Is(err, jobs.ErrModelNotFound) && s.pullModel(r.Context(), id, r) {
+		b, err = s.models.Bytes(id)
 	}
 	if err != nil {
 		if errors.Is(err, jobs.ErrModelNotFound) {

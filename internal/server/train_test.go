@@ -7,13 +7,16 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
+	"fillvoid/internal/cluster"
 	"fillvoid/internal/core"
 	"fillvoid/internal/datasets"
 	"fillvoid/internal/grid"
 	"fillvoid/internal/jobs"
+	"fillvoid/internal/sampling"
 	"fillvoid/internal/telemetry"
 )
 
@@ -577,4 +580,86 @@ func TestTrainObserverProgress(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	t.Fatal("job did not finish")
+}
+
+// tinyModel pretrains a throwaway model in milliseconds; seeds give
+// different weights.
+func tinyModel(t *testing.T, seed int64) *core.FCNN {
+	t.Helper()
+	m, err := core.Pretrain(trainTruth(), "pressure", &sampling.Importance{Seed: 3}, core.Options{
+		Hidden: []int{4}, Epochs: 1, TrainFractions: []float64{0.05}, MaxTrainRows: 200, Seed: seed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestPeerModelPullRefusesForeignBytes points a replica at a peer that
+// answers every model lookup with one model's bytes. Asked for another
+// model, the replica must answer 404 on both paths that pull (GET
+// /v1/models/{id} and a model_id reconstruction) and store nothing;
+// asked for the model the bytes hash to, it must serve them.
+func TestPeerModelPullRefusesForeignBytes(t *testing.T) {
+	wanted, served := tinyModel(t, 1), tinyModel(t, 2)
+	wantedID, err := jobs.IDForModel(wanted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body bytes.Buffer
+	if err := served.Save(&body); err != nil {
+		t.Fatal(err)
+	}
+	servedID, err := jobs.IDForModel(served)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wantedID == servedID {
+		t.Fatal("fixture models share an id")
+	}
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write(body.Bytes())
+	}))
+	defer peer.Close()
+	cl, err := cluster.New(cluster.Config{
+		Self:      "a",
+		Members:   []cluster.Member{{ID: "a"}, {ID: "b", URL: peer.URL}},
+		Telemetry: telemetry.NewRegistry(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, base := startServer(t, Config{Cluster: cl})
+
+	resp, err := http.Get(base + "/v1/models/" + wantedID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET foreign model: %d, want 404", resp.StatusCode)
+	}
+	truth := trainTruth()
+	code, msg := postJSON(t, base+"/v1/reconstruct", &ReconstructRequest{
+		ModelID: wantedID,
+		Cloud:   fullFieldCloud(truth, "pressure"),
+		Grid:    gridOf(truth),
+	})
+	if code != http.StatusNotFound {
+		t.Fatalf("reconstruct with a foreign model: %d %s, want 404", code, msg)
+	}
+	if n := srv.models.Len(); n != 0 {
+		t.Fatalf("store holds %d models after refusing foreign bytes", n)
+	}
+
+	resp, err = http.Get(base + "/v1/models/" + servedID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || !bytes.Equal(got, body.Bytes()) {
+		t.Fatalf("GET the served model: %d, %d bytes (%v), want 200 and its %d bytes",
+			resp.StatusCode, len(got), err, body.Len())
+	}
 }
