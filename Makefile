@@ -126,6 +126,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzTrainRequest -fuzztime=$(FUZZTIME) ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzF16RoundTrip -fuzztime=$(FUZZTIME) ./internal/mathutil
 	$(GO) test -run='^$$' -fuzz=FuzzLoadModel -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzKNearest -fuzztime=$(FUZZTIME) ./internal/kdtree
 
 clean:
 	rm -f cover.out test_output.txt bench_output.txt bench_current.json fillvoid.smoke

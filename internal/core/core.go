@@ -414,9 +414,11 @@ const fusedTile = 512
 
 // fusedScratch is one worker's reusable state for the fused path: the
 // feature block, the prediction block, the per-layer activation
-// buffers, and the query/neighbor scratch. It records the shape it was
-// built for (input and output width, K and hidden widths) and serves
-// only predictors of that shape.
+// buffers, and the query/neighbor scratch, which holds K neighbours for
+// every query of a tile so BuildBatch searches the tile as one
+// warm-started batch. It records the shape it was built for (input and
+// output width, K and hidden widths) and serves only predictors of that
+// shape.
 type fusedScratch struct {
 	inW, outW, k int
 	hidden       []int
@@ -459,7 +461,7 @@ func getFusedScratch(pred nn.Predictor, inW, outW, k int) *fusedScratch {
 		out:     nn.NewMatrix(fusedTile, outW),
 		buf:     pred.NewInferenceBuffers(fusedTile),
 		queries: make([]mathutil.Vec3, 0, fusedTile),
-		nbBuf:   make([]kdtree.Neighbor, 0, k),
+		nbBuf:   make([]kdtree.Neighbor, 0, fusedTile*k),
 	}
 }
 

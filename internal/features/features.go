@@ -179,7 +179,8 @@ func NewExtractor(cfg Config, c *pointcloud.Cloud, norm *Normalizer) (*Extractor
 // NewExtractorWithTree is NewExtractor over a pre-built k-d tree on the
 // same cloud's points — used by the recon engine so every method sharing
 // a query plan shares one spatial index instead of each extractor
-// rebuilding its own.
+// rebuilding its own. A tree over a different number of points is
+// rejected: its neighbour indices would not address the cloud.
 func NewExtractorWithTree(cfg Config, c *pointcloud.Cloud, tree *kdtree.Tree, norm *Normalizer) (*Extractor, error) {
 	if cfg.K < 1 {
 		return nil, fmt.Errorf("features: K must be >= 1, got %d", cfg.K)
@@ -193,6 +194,9 @@ func NewExtractorWithTree(cfg Config, c *pointcloud.Cloud, tree *kdtree.Tree, no
 	if tree == nil {
 		return nil, errors.New("features: nil tree")
 	}
+	if tree.Len() != c.Len() {
+		return nil, fmt.Errorf("features: tree indexes %d points, cloud has %d", tree.Len(), c.Len())
+	}
 	return &Extractor{cfg: cfg, cloud: c, tree: tree, norm: norm}, nil
 }
 
@@ -205,7 +209,13 @@ func (e *Extractor) Normalizer() *Normalizer { return e.norm }
 // FeaturesInto writes the feature vector for query point q into dst
 // (len InputWidth) using nbBuf as k-NN scratch.
 func (e *Extractor) FeaturesInto(q mathutil.Vec3, dst []float64, nbBuf []kdtree.Neighbor) {
-	nbs := e.tree.KNearestInto(q, e.cfg.K, nbBuf)
+	e.row(q, e.tree.KNearestInto(q, e.cfg.K, nbBuf), dst)
+}
+
+// row writes the feature vector of query q, whose K nearest samples are
+// nbs in canonical order, into dst. The cloud holds at least K points,
+// so nbs has exactly K entries.
+func (e *Extractor) row(q mathutil.Vec3, nbs []kdtree.Neighbor, dst []float64) {
 	w := 0
 	for _, nb := range nbs {
 		p := e.norm.Point(e.cloud.Points[nb.Index])
@@ -215,9 +225,6 @@ func (e *Extractor) FeaturesInto(q mathutil.Vec3, dst []float64, nbBuf []kdtree.
 		dst[w+3] = e.norm.Value(e.cloud.Values[nb.Index])
 		w += 4
 	}
-	// Fewer than K neighbors can only happen if the cloud shrank below
-	// K, which NewExtractor guards against; keep zeros defensively.
-	w = 4 * e.cfg.K
 	qn := e.norm.Point(q)
 	dst[w] = qn.X
 	dst[w+1] = qn.Y
@@ -225,9 +232,12 @@ func (e *Extractor) FeaturesInto(q mathutil.Vec3, dst []float64, nbBuf []kdtree.
 }
 
 // BuildBatch fills the first len(queries) rows of x with one feature
-// vector per query on the calling goroutine, reusing nbBuf
-// (cap >= K) as k-NN scratch: zero heap allocations per call. It is
-// the per-chunk primitive of the fused inference path — each
+// vector per query on the calling goroutine, using nbBuf (cap >= K) as
+// k-NN scratch: zero heap allocations per call. It runs the queries
+// through the tree's warm-started batch search in runs of cap(nbBuf)/K,
+// so a larger nbBuf gives neighbouring queries more warm starts; rows
+// are bit-identical to FeaturesInto's whatever its size. It is the
+// per-chunk primitive of the fused inference path — each
 // reconstruction worker owns one x and one nbBuf and streams its
 // chunks through them. x must have InputWidth columns and at least
 // len(queries) rows.
@@ -238,41 +248,68 @@ func (e *Extractor) BuildBatch(queries []mathutil.Vec3, x *nn.Matrix, nbBuf []kd
 	if x.Rows < len(queries) {
 		return fmt.Errorf("features: batch matrix has %d rows for %d queries", x.Rows, len(queries))
 	}
-	for i, q := range queries {
-		e.FeaturesInto(q, x.Row(i), nbBuf[:0])
+	if cap(nbBuf) < e.cfg.K {
+		return fmt.Errorf("features: neighbour buffer holds %d, need >= K = %d", cap(nbBuf), e.cfg.K)
 	}
+	e.rows(queries, x.Data, nbBuf)
 	return nil
 }
+
+// rows writes the feature vectors of queries into consecutive
+// InputWidth-wide rows of dst, running the k-NN searches in runs of
+// cap(nbBuf)/K (at least one) queries.
+func (e *Extractor) rows(queries []mathutil.Vec3, dst []float64, nbBuf []kdtree.Neighbor) {
+	k, width := e.cfg.K, e.cfg.InputWidth()
+	run := cap(nbBuf) / k
+	for lo := 0; lo < len(queries); lo += run {
+		qs := queries[lo:min(lo+run, len(queries))]
+		nbs := e.tree.KNearestBatchInto(qs, k, 1, nbBuf[:len(qs)*k])
+		for i, q := range qs {
+			r := (lo + i) * width
+			e.row(q, nbs[i*k:(i+1)*k], dst[r:r+width])
+		}
+	}
+}
+
+// matrixRun is how many queries Matrix and GridMatrix featurize per
+// batch search: each worker reuses one run of query and neighbour
+// scratch, and consecutive queries warm-start each other.
+const matrixRun = 256
 
 // Matrix builds the feature matrix for a set of query points in
 // parallel: one row per query, InputWidth columns.
 func (e *Extractor) Matrix(queries []mathutil.Vec3) *nn.Matrix {
-	x := nn.NewMatrix(len(queries), e.cfg.InputWidth())
-	_, sp := telemetry.Default().Start(context.TODO(), "features/extract")
-	parallel.ForChunked(len(queries), 0, func(lo, hi int) {
-		nbBuf := make([]kdtree.Neighbor, 0, e.cfg.K)
-		for i := lo; i < hi; i++ {
-			e.FeaturesInto(queries[i], x.Row(i), nbBuf)
-		}
-	})
-	sp.End()
-	telemetry.Default().Counter("features.rows_built").Add(int64(len(queries)))
-	return x
+	return e.matrix(len(queries), func(i int) mathutil.Vec3 { return queries[i] })
 }
 
 // GridMatrix builds the feature matrix for the flat grid indices idxs
 // of volume geometry v (values of v are not read — only positions).
 func (e *Extractor) GridMatrix(v *grid.Volume, idxs []int) *nn.Matrix {
-	x := nn.NewMatrix(len(idxs), e.cfg.InputWidth())
+	return e.matrix(len(idxs), func(i int) mathutil.Vec3 { return v.PointAt(idxs[i]) })
+}
+
+// matrix builds the n-row feature matrix of the queries point(0), ...,
+// point(n-1) in parallel, each worker featurizing its rows in runs of
+// matrixRun.
+func (e *Extractor) matrix(n int, point func(i int) mathutil.Vec3) *nn.Matrix {
+	width := e.cfg.InputWidth()
+	x := nn.NewMatrix(n, width)
 	_, sp := telemetry.Default().Start(context.TODO(), "features/extract")
-	parallel.ForChunked(len(idxs), 0, func(lo, hi int) {
-		nbBuf := make([]kdtree.Neighbor, 0, e.cfg.K)
-		for i := lo; i < hi; i++ {
-			e.FeaturesInto(v.PointAt(idxs[i]), x.Row(i), nbBuf)
+	parallel.ForChunked(n, 0, func(lo, hi int) {
+		run := min(matrixRun, hi-lo)
+		queries := make([]mathutil.Vec3, 0, run)
+		nbBuf := make([]kdtree.Neighbor, 0, run*e.cfg.K)
+		for start := lo; start < hi; start += run {
+			end := min(start+run, hi)
+			queries = queries[:0]
+			for i := start; i < end; i++ {
+				queries = append(queries, point(i))
+			}
+			e.rows(queries, x.Data[start*width:end*width], nbBuf)
 		}
 	})
 	sp.End()
-	telemetry.Default().Counter("features.rows_built").Add(int64(len(idxs)))
+	telemetry.Default().Counter("features.rows_built").Add(int64(n))
 	return x
 }
 

@@ -1,6 +1,7 @@
 package features
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -161,6 +162,10 @@ func TestFeatureVectorLayout(t *testing.T) {
 	}
 }
 
+// TestBuildBatchMatchesMatrix queries every grid node in raster order,
+// as reconstruction does, and checks that the batched paths — BuildBatch
+// with neighbour buffers of K, 3K+1 and 512·K entries, Matrix and
+// GridMatrix — write rows bit-identical to per-query FeaturesInto.
 func TestBuildBatchMatchesMatrix(t *testing.T) {
 	v := testVolume()
 	cloud, _, err := (&sampling.Importance{Seed: 2}).Sample(v, "f", 0.05)
@@ -172,35 +177,76 @@ func TestBuildBatchMatchesMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	queries := make([]mathutil.Vec3, 0, 60)
-	for i := 0; i < 60; i++ {
-		queries = append(queries, v.PointAt(i*7%v.Len()))
+	k, width := ex.Config().K, ex.Config().InputWidth()
+	queries := make([]mathutil.Vec3, v.Len())
+	idxs := make([]int, v.Len())
+	want := nn.NewMatrix(len(queries), width)
+	for i := range queries {
+		queries[i], idxs[i] = v.PointAt(i), i
+		ex.FeaturesInto(queries[i], want.Row(i), make([]kdtree.Neighbor, 0, k))
 	}
-	want := ex.Matrix(queries)
-	x := nn.NewMatrix(len(queries), ex.Config().InputWidth())
-	nbBuf := make([]kdtree.Neighbor, 0, ex.Config().K)
-	if err := ex.BuildBatch(queries, x, nbBuf); err != nil {
-		t.Fatal(err)
-	}
-	for i := range want.Data {
-		if math.Float64bits(x.Data[i]) != math.Float64bits(want.Data[i]) {
-			t.Fatalf("element %d: batch %g, reference %g", i, x.Data[i], want.Data[i])
+	same := func(name string, got *nn.Matrix) {
+		t.Helper()
+		for i := range want.Data {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+				t.Fatalf("%s: row %d col %d: %g, FeaturesInto %g", name, i/width, i%width, got.Data[i], want.Data[i])
+			}
 		}
 	}
-	// Shape misuse is rejected.
+	x := nn.NewMatrix(len(queries), width)
+	for _, n := range []int{k, 3*k + 1, 512 * k} {
+		for i := range x.Data {
+			x.Data[i] = math.NaN()
+		}
+		if err := ex.BuildBatch(queries, x, make([]kdtree.Neighbor, 0, n)); err != nil {
+			t.Fatal(err)
+		}
+		same(fmt.Sprintf("BuildBatch, nbBuf of %d", n), x)
+	}
+	same("Matrix", ex.Matrix(queries))
+	same("GridMatrix", ex.GridMatrix(v, idxs))
+
+	// Misuse is rejected.
+	nbBuf := make([]kdtree.Neighbor, 0, 512*k)
 	if err := ex.BuildBatch(queries, nn.NewMatrix(len(queries), 5), nbBuf); err == nil {
 		t.Error("wrong column count accepted")
 	}
-	if err := ex.BuildBatch(queries, nn.NewMatrix(3, ex.Config().InputWidth()), nbBuf); err == nil {
+	if err := ex.BuildBatch(queries, nn.NewMatrix(3, width), nbBuf); err == nil {
 		t.Error("too few rows accepted")
 	}
+	if err := ex.BuildBatch(queries, x, make([]kdtree.Neighbor, 0, k-1)); err == nil {
+		t.Error("neighbour buffer shorter than K accepted")
+	}
 	// Steady-state zero allocations, the fused-path contract.
-	if a := testing.AllocsPerRun(50, func() {
+	if a := testing.AllocsPerRun(10, func() {
 		if err := ex.BuildBatch(queries, x, nbBuf); err != nil {
 			t.Fatal(err)
 		}
 	}); a != 0 {
 		t.Errorf("BuildBatch: %v allocs/op, want 0", a)
+	}
+}
+
+// TestNewExtractorWithTreeRejectsForeignTree pins the guard on shared
+// trees: a tree over a different number of points than the cloud would
+// hand FeaturesInto short neighbour lists, or indices past the cloud.
+func TestNewExtractorWithTreeRejectsForeignTree(t *testing.T) {
+	v := testVolume()
+	cloud, _, err := (&sampling.Importance{Seed: 2}).Sample(v, "f", 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	norm := NormalizerFor(cloud, v.Bounds())
+	cfg := DefaultConfig()
+	for _, n := range []int{cfg.K - 1, cloud.Len() - 1, cloud.Len() + 1} {
+		pts := make([]mathutil.Vec3, n)
+		copy(pts, cloud.Points)
+		if _, err := NewExtractorWithTree(cfg, cloud, kdtree.Build(pts), norm); err == nil {
+			t.Errorf("tree over %d points accepted for a cloud of %d", n, cloud.Len())
+		}
+	}
+	if _, err := NewExtractorWithTree(cfg, cloud, kdtree.Build(cloud.Points), norm); err != nil {
+		t.Fatalf("the cloud's own tree: %v", err)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"fillvoid/internal/grid"
 	"fillvoid/internal/kdtree"
+	"fillvoid/internal/mathutil"
 	"fillvoid/internal/parallel"
 	"fillvoid/internal/pointcloud"
 	"fillvoid/internal/recon"
@@ -35,9 +36,16 @@ func (r *Shepard) Reconstruct(c *pointcloud.Cloud, spec GridSpec) (*grid.Volume,
 	return recon.ReconstructCloud(context.Background(), r, c, spec)
 }
 
-// ReconstructRegion implements Reconstructor: per-query k-NN against the
-// plan's shared tree. Each query is independent, so tiling cannot change
-// the result.
+// shepardTile is how many queries a Shepard worker searches per
+// warm-started k-NN batch. ForChunkedCtx hands a worker about 32 chunks
+// and each allocates one tile of scratch (K neighbours per query), so
+// the tile stays small; only its first query starts cold.
+const shepardTile = 64
+
+// ReconstructRegion implements Reconstructor: k-NN against the plan's
+// shared tree, batched per tile of consecutive region queries so each
+// search warm-starts from the one before. Neighbour lists are canonical
+// whatever the batching, so tiling cannot change the result.
 func (r *Shepard) ReconstructRegion(ctx context.Context, p *recon.Plan, region recon.Region, dst []float64) error {
 	c := p.Cloud()
 	k := r.K
@@ -50,10 +58,18 @@ func (r *Shepard) ReconstructRegion(ctx context.Context, p *recon.Plan, region r
 	tree := p.Tree()
 	spec := p.Spec()
 	return parallel.ForChunkedCtx(ctx, region.Len(), r.Workers, func(start, end int) error {
-		buf := make([]kdtree.Neighbor, 0, k)
-		for m := start; m < end; m++ {
-			nbs := tree.KNearestInto(region.PointAt(spec, m), k, buf)
-			dst[m] = shepardValue(c, nbs)
+		tile := min(shepardTile, end-start)
+		queries := make([]mathutil.Vec3, 0, tile)
+		nbs := make([]kdtree.Neighbor, tile*k)
+		for lo := start; lo < end; lo += tile {
+			queries = queries[:0]
+			for m := lo; m < min(lo+tile, end); m++ {
+				queries = append(queries, region.PointAt(spec, m))
+			}
+			tree.KNearestBatchInto(queries, k, 1, nbs)
+			for i := range queries {
+				dst[lo+i] = shepardValue(c, nbs[i*k:(i+1)*k])
+			}
 		}
 		return nil
 	})

@@ -17,13 +17,7 @@ func TestKNearestBatchIntoMatchesSingle(t *testing.T) {
 		t.Fatalf("flat length %d, want %d", len(flat), len(queries)*k)
 	}
 	for i, q := range queries {
-		want := tree.KNearest(q, k)
-		got := flat[i*k : (i+1)*k]
-		for j := range want {
-			if math.Abs(got[j].Dist2-want[j].Dist2) > 0 {
-				t.Fatalf("query %d rank %d: dist %g want %g", i, j, got[j].Dist2, want[j].Dist2)
-			}
-		}
+		sameNeighbors(t, flat[i*k:(i+1)*k], tree.KNearest(q, k))
 	}
 }
 

@@ -7,6 +7,15 @@
 // The tree is built once over the sampled cloud and then queried from
 // many goroutines concurrently; all query methods are read-only and
 // allocation-free when the caller supplies scratch buffers.
+//
+// Neighbour order: k-NN results (KNearest, KNearestInto,
+// KNearestBatchInto) are canonical — the k points first in ascending
+// Dist2, then ascending Index, with distances computed like
+// mathutil.Vec3.Dist2 — so they equal an exhaustive search sorted the
+// same way, index for index and bit for bit, whatever the batching,
+// warm start or worker count. Nearest and NearestBulk are not: among
+// points at exactly the same distance they keep the first one the
+// descent visits, which the baselines' pinned outputs rely on.
 package kdtree
 
 import (
@@ -169,7 +178,9 @@ type Neighbor struct {
 }
 
 // Nearest returns the index of the closest indexed point to q and the
-// squared distance, or (-1, +Inf) for an empty tree.
+// squared distance, or (-1, +Inf) for an empty tree. Among points at
+// exactly the closest distance it returns the first one its descent
+// visits, not necessarily the lowest index.
 func (t *Tree) Nearest(q mathutil.Vec3) (int, float64) {
 	if len(t.points) == 0 {
 		return -1, inf()
@@ -224,120 +235,40 @@ func (t *Tree) nearest1(lo, hi int, q mathutil.Vec3, b *nearest1) {
 	}
 }
 
-// KNearest returns the k nearest points to q ordered by increasing
-// distance (fewer when the tree holds fewer than k points).
+// KNearest returns the k nearest points to q in canonical order (fewer
+// when the tree holds fewer than k points).
 func (t *Tree) KNearest(q mathutil.Vec3, k int) []Neighbor {
 	return t.KNearestInto(q, k, nil)
 }
 
 // KNearestInto is KNearest writing into buf (reused when cap(buf) >= k)
 // to let hot loops avoid allocation: when the buffer is large enough the
-// call performs no heap allocation at all. The returned slice is sorted
-// by increasing distance.
+// call performs no heap allocation at all.
 func (t *Tree) KNearestInto(q mathutil.Vec3, k int, buf []Neighbor) []Neighbor {
 	if k <= 0 || len(t.points) == 0 {
 		return buf[:0]
 	}
-	h := heapNeighbors{items: buf[:0], k: k}
-	t.knn(0, len(t.points), q, &h)
-	// Heap holds the k nearest in max-heap order; insertion sort keeps
-	// the call allocation-free (sort.Slice's closure and reflect-based
-	// swapper both escape to the heap), and k is tiny (typically 5).
-	items := h.items
-	for i := 1; i < len(items); i++ {
-		it := items[i]
-		j := i - 1
-		for j >= 0 && items[j].Dist2 > it.Dist2 {
-			items[j+1] = items[j]
-			j--
-		}
-		items[j+1] = it
-	}
-	return items
-}
-
-func (t *Tree) knn(lo, hi int, q mathutil.Vec3, h *heapNeighbors) {
-	if hi <= lo {
-		return
-	}
-	mid := (lo + hi) / 2
-	dx := t.px[mid] - q.X
-	dy := t.py[mid] - q.Y
-	dz := t.pz[mid] - q.Z
-	h.offer(int(t.idx[mid]), dx*dx+dy*dy+dz*dz)
-	if hi-lo == 1 {
-		return
-	}
-	var d float64
-	switch t.axis[mid] {
-	case 0:
-		d = q.X - t.px[mid]
-	case 1:
-		d = q.Y - t.py[mid]
-	default:
-		d = q.Z - t.pz[mid]
-	}
-	// Search the near side first, then the far side only if the
-	// splitting plane is closer than the current k-th best distance.
-	if d < 0 {
-		t.knn(lo, mid, q, h)
-		if d*d < h.bound() {
-			t.knn(mid+1, hi, q, h)
-		}
-	} else {
-		t.knn(mid+1, hi, q, h)
-		if d*d < h.bound() {
-			t.knn(lo, mid, q, h)
-		}
-	}
-}
-
-// WithinRadius appends to out the indices of all points within radius r
-// of q (unordered) and returns the extended slice.
-func (t *Tree) WithinRadius(q mathutil.Vec3, r float64, out []int) []int {
-	if r < 0 || len(t.points) == 0 {
-		return out
-	}
-	return t.radius(0, len(t.points), q, r*r, out)
-}
-
-func (t *Tree) radius(lo, hi int, q mathutil.Vec3, r2 float64, out []int) []int {
-	if hi <= lo {
-		return out
-	}
-	mid := (lo + hi) / 2
-	p := t.points[t.idx[mid]]
-	if p.Dist2(q) <= r2 {
-		out = append(out, int(t.idx[mid]))
-	}
-	if hi-lo == 1 {
-		return out
-	}
-	ax := int(t.axis[mid])
-	d := q.Component(ax) - p.Component(ax)
-	if d < 0 {
-		out = t.radius(lo, mid, q, r2, out)
-		if d*d <= r2 {
-			out = t.radius(mid+1, hi, q, r2, out)
-		}
-	} else {
-		out = t.radius(mid+1, hi, q, r2, out)
-		if d*d <= r2 {
-			out = t.radius(lo, mid, q, r2, out)
-		}
-	}
-	return out
+	b := best{items: buf[:0], k: k, bound: inf()}
+	t.search(q, &b)
+	return b.items
 }
 
 // KNearestBatchInto answers len(queries) k-NN queries into one flat
 // caller-owned buffer: query i's neighbors land in out[i*k:(i+1)*k],
-// sorted by increasing distance and padded with {Index: -1,
-// Dist2: +Inf} entries when the tree holds fewer than k points. out
-// must have length >= len(queries)*k. workers <= 0 uses
-// parallel.DefaultWorkers(); workers == 1 runs inline on the calling
-// goroutine with zero heap allocations, which is what the fused
-// inference path relies on (each reconstruction worker batches its own
-// chunk serially). Returns out[:len(queries)*k].
+// in canonical order and padded with {Index: -1, Dist2: +Inf} entries
+// when the tree holds fewer than k points. out must have length >=
+// len(queries)*k. workers <= 0 uses parallel.DefaultWorkers(); workers
+// == 1 runs inline on the calling goroutine with zero heap allocations,
+// which is what the fused inference path relies on (each reconstruction
+// worker batches its own chunk serially). Returns out[:len(queries)*k].
+//
+// Each query after the first of a worker's range is warm-started: the
+// previous query's k neighbours are k distinct points, so the largest
+// squared distance from the new query to them bounds its k-th distance
+// and prunes the search from the start. Neighbouring queries, such as
+// grid nodes in raster order, make that bound tight. The result does
+// not depend on the bound, so it equals KNearestInto's at any worker
+// count.
 func (t *Tree) KNearestBatchInto(queries []mathutil.Vec3, k, workers int, out []Neighbor) []Neighbor {
 	if k <= 0 || len(queries) == 0 {
 		return out[:0]
@@ -356,34 +287,155 @@ func (t *Tree) KNearestBatchInto(queries []mathutil.Vec3, k, workers int, out []
 }
 
 func (t *Tree) knnBatchRange(queries []mathutil.Vec3, k int, out []Neighbor, lo, hi int) {
+	var prev []Neighbor
 	for i := lo; i < hi; i++ {
-		// Three-index slice: KNearestInto appends into exactly the
+		q := queries[i]
+		bound := inf()
+		if len(prev) == k {
+			// Summed as in search, so every previous neighbour passes
+			// the bound and the list still fills.
+			bound = 0
+			for _, nb := range prev {
+				p := t.points[nb.Index]
+				dx := p.X - q.X
+				dy := p.Y - q.Y
+				dz := p.Z - q.Z
+				bound = max(bound, dx*dx+dy*dy+dz*dz)
+			}
+		}
+		// Three-index slice: the list grows inside exactly the
 		// [i*k, (i+1)*k) window of out, never beyond it.
-		got := t.KNearestInto(queries[i], k, out[i*k:i*k:(i+1)*k])
-		for j := len(got); j < k; j++ {
+		b := best{items: out[i*k : i*k : (i+1)*k], k: k, bound: bound}
+		t.search(q, &b)
+		for j := len(b.items); j < k; j++ {
 			out[i*k+j] = Neighbor{Index: -1, Dist2: inf()}
+		}
+		prev = b.items
+	}
+}
+
+// leafSize is the largest index range search scans point by point
+// instead of splitting at its median: below it, choosing and stacking
+// children costs more than the distances it would skip.
+const leafSize = 16
+
+// search collects into b the indexed points nearest to q. It walks the
+// Build layout iteratively: the index range [lo, hi) holds one subtree
+// whose median, at (lo+hi)/2, splits the rest on axis[mid], and ranges
+// of at most leafSize points are scanned linearly. A subtree is skipped
+// only when q's squared distance to its cell is strictly greater than
+// b.bound. That distance sums per-axis terms in the same order as a
+// point distance, and each term squares the rounded gap from q to a
+// split plane every point of the cell lies beyond, so it never exceeds
+// the computed distance of a point in the cell: no point that could
+// enter the list, ties with the k-th included, is ever skipped.
+func (t *Tree) search(q mathutil.Vec3, b *best) {
+	// cell is a subtree still to visit. Every stacked cell is deeper
+	// than the one below it, and an int32-indexed tree has at most 27
+	// levels of splits above its leaf ranges.
+	type cell struct {
+		lo, hi int
+		d2     float64    // squared distance from q to the cell
+		sq     [3]float64 // its per-axis terms
+	}
+	var stack [32]cell
+	stack[0] = cell{hi: len(t.idx)}
+	for n := 1; n > 0; {
+		n--
+		c := stack[n]
+		if c.d2 > b.bound {
+			continue
+		}
+		lo, hi := c.lo, c.hi
+		for hi-lo > leafSize {
+			mid := (lo + hi) / 2
+			dx := t.px[mid] - q.X
+			dy := t.py[mid] - q.Y
+			dz := t.pz[mid] - q.Z
+			if d2 := dx*dx + dy*dy + dz*dz; !(d2 > b.bound) {
+				b.offer(int(t.idx[mid]), d2)
+			}
+			// The split plane passes through the median point, so
+			// its gap from q is that point's offset on the split
+			// axis; a positive gap puts q on the left child's side.
+			// The near child keeps c's cell, the far one lies across
+			// the plane.
+			far := cell{sq: c.sq}
+			var gap float64
+			switch t.axis[mid] {
+			case 0:
+				gap, far.sq[0] = dx, dx*dx
+			case 1:
+				gap, far.sq[1] = dy, dy*dy
+			default:
+				gap, far.sq[2] = dz, dz*dz
+			}
+			far.d2 = far.sq[0] + far.sq[1] + far.sq[2]
+			if gap > 0 {
+				far.lo, far.hi = mid+1, hi
+				hi = mid
+			} else {
+				far.lo, far.hi = lo, mid
+				lo = mid + 1
+			}
+			if !(far.d2 > b.bound) {
+				stack[n] = far
+				n++
+			}
+		}
+		xs := t.px[lo:hi]
+		ys := t.py[lo:hi][:len(xs)]
+		zs := t.pz[lo:hi][:len(xs)]
+		ids := t.idx[lo:hi][:len(xs)]
+		for i, x := range xs {
+			dx := x - q.X
+			dy := ys[i] - q.Y
+			dz := zs[i] - q.Z
+			if d2 := dx*dx + dy*dy + dz*dz; !(d2 > b.bound) {
+				b.offer(int(ids[i]), d2)
+			}
 		}
 	}
 }
 
-// KNearestBatch runs KNearest for every query in parallel, returning one
-// result slice per query. It is the allocating convenience wrapper over
-// KNearestBatchInto; hot loops should call the Into variant with a
-// reused buffer.
-func (t *Tree) KNearestBatch(queries []mathutil.Vec3, k int) [][]Neighbor {
-	out := make([][]Neighbor, len(queries))
-	if k <= 0 || len(queries) == 0 {
-		return out
+// best is one query's running neighbour list, kept in canonical order.
+// bound is the squared distance a point must not exceed to enter it:
+// the warm-start bound (+Inf when cold) until the list holds k points,
+// then the k-th distance.
+type best struct {
+	items []Neighbor
+	k     int
+	bound float64
+}
+
+// offer inserts a point when the list has room or the point precedes
+// the current k-th neighbour, which then drops out.
+func (b *best) offer(index int, d2 float64) {
+	n := len(b.items)
+	switch {
+	case n < b.k:
+		b.items = append(b.items, Neighbor{})
+	case precedes(d2, index, b.items[n-1]):
+		n--
+	default:
+		return
 	}
-	flat := t.KNearestBatchInto(queries, k, 0, make([]Neighbor, len(queries)*k))
-	per := k
-	if t.Len() < per {
-		per = t.Len()
+	for n > 0 && precedes(d2, index, b.items[n-1]) {
+		b.items[n] = b.items[n-1]
+		n--
 	}
-	for i := range out {
-		out[i] = flat[i*k : i*k+per]
+	b.items[n] = Neighbor{Index: index, Dist2: d2}
+	if len(b.items) == b.k {
+		b.bound = b.items[b.k-1].Dist2
 	}
-	return out
+}
+
+// precedes reports whether a point at squared distance d2 with the
+// given index comes before nb in the canonical order: ascending Dist2,
+// then ascending Index.
+func precedes(d2 float64, index int, nb Neighbor) bool {
+	//lint:allow floateq: bit-exact tie-break; equal distances rank by index so every search returns the brute-force list
+	return d2 < nb.Dist2 || d2 == nb.Dist2 && index < nb.Index
 }
 
 // NearestBulk runs Nearest for n queries in parallel, writing the
@@ -400,60 +452,3 @@ func (t *Tree) NearestBulk(n, workers int, point func(i int) mathutil.Vec3, idx 
 }
 
 func inf() float64 { return math.Inf(1) }
-
-// heapNeighbors is a fixed-capacity max-heap by Dist2: the root is the
-// worst of the best-k so far, so bound() prunes subtree descent.
-type heapNeighbors struct {
-	items []Neighbor
-	k     int
-}
-
-func (h *heapNeighbors) bound() float64 {
-	if len(h.items) < h.k {
-		return inf()
-	}
-	return h.items[0].Dist2
-}
-
-func (h *heapNeighbors) offer(index int, d2 float64) {
-	if len(h.items) < h.k {
-		h.items = append(h.items, Neighbor{index, d2})
-		h.up(len(h.items) - 1)
-		return
-	}
-	if d2 >= h.items[0].Dist2 {
-		return
-	}
-	h.items[0] = Neighbor{index, d2}
-	h.down(0)
-}
-
-func (h *heapNeighbors) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if h.items[parent].Dist2 >= h.items[i].Dist2 {
-			return
-		}
-		h.items[parent], h.items[i] = h.items[i], h.items[parent]
-		i = parent
-	}
-}
-
-func (h *heapNeighbors) down(i int) {
-	n := len(h.items)
-	for {
-		l, r := 2*i+1, 2*i+2
-		big := i
-		if l < n && h.items[l].Dist2 > h.items[big].Dist2 {
-			big = l
-		}
-		if r < n && h.items[r].Dist2 > h.items[big].Dist2 {
-			big = r
-		}
-		if big == i {
-			return
-		}
-		h.items[i], h.items[big] = h.items[big], h.items[i]
-		i = big
-	}
-}

@@ -2,7 +2,6 @@ package kdtree
 
 import (
 	"math"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -18,19 +17,6 @@ func randomPoints(n int, seed int64) []mathutil.Vec3 {
 	return pts
 }
 
-// bruteKNN is the reference oracle.
-func bruteKNN(pts []mathutil.Vec3, q mathutil.Vec3, k int) []Neighbor {
-	all := make([]Neighbor, len(pts))
-	for i, p := range pts {
-		all[i] = Neighbor{Index: i, Dist2: p.Dist2(q)}
-	}
-	sort.Slice(all, func(a, b int) bool { return all[a].Dist2 < all[b].Dist2 })
-	if k > len(all) {
-		k = len(all)
-	}
-	return all[:k]
-}
-
 func TestKNearestMatchesBruteForce(t *testing.T) {
 	for _, n := range []int{1, 2, 5, 17, 100, 1000} {
 		pts := randomPoints(n, int64(n))
@@ -39,17 +25,7 @@ func TestKNearestMatchesBruteForce(t *testing.T) {
 		for trial := 0; trial < 50; trial++ {
 			q := mathutil.Vec3{X: rng.Float64() * 1.4, Y: rng.Float64() * 1.4, Z: rng.Float64() * 1.4}
 			for _, k := range []int{1, 3, 5, n} {
-				got := tree.KNearest(q, k)
-				want := bruteKNN(pts, q, k)
-				if len(got) != len(want) {
-					t.Fatalf("n=%d k=%d: got %d results, want %d", n, k, len(got), len(want))
-				}
-				for i := range got {
-					// Indices can differ on exact ties; distances must match.
-					if math.Abs(got[i].Dist2-want[i].Dist2) > 1e-12 {
-						t.Fatalf("n=%d k=%d rank %d: dist %g want %g", n, k, i, got[i].Dist2, want[i].Dist2)
-					}
-				}
+				sameNeighbors(t, tree.KNearest(q, k), bruteKNN(pts, q, k))
 			}
 		}
 	}
@@ -116,57 +92,6 @@ func TestKNearestZeroK(t *testing.T) {
 	}
 }
 
-func TestWithinRadiusMatchesBruteForce(t *testing.T) {
-	pts := randomPoints(800, 7)
-	tree := Build(pts)
-	rng := mathutil.NewRNG(13)
-	for trial := 0; trial < 40; trial++ {
-		q := mathutil.Vec3{X: rng.Float64(), Y: rng.Float64(), Z: rng.Float64()}
-		r := rng.Float64() * 0.4
-		got := tree.WithinRadius(q, r, nil)
-		sort.Ints(got)
-		var want []int
-		for i, p := range pts {
-			if p.Dist2(q) <= r*r {
-				want = append(want, i)
-			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: got %d, want %d", trial, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: index mismatch", trial)
-			}
-		}
-	}
-}
-
-func TestWithinRadiusNegative(t *testing.T) {
-	tree := Build(randomPoints(10, 2))
-	if got := tree.WithinRadius(mathutil.Vec3{}, -1, nil); len(got) != 0 {
-		t.Fatal("negative radius should return nothing")
-	}
-}
-
-func TestKNearestBatch(t *testing.T) {
-	pts := randomPoints(300, 21)
-	tree := Build(pts)
-	queries := randomPoints(100, 22)
-	batch := tree.KNearestBatch(queries, 4)
-	if len(batch) != len(queries) {
-		t.Fatalf("got %d result sets", len(batch))
-	}
-	for i, q := range queries {
-		want := bruteKNN(pts, q, 4)
-		for r := range want {
-			if math.Abs(batch[i][r].Dist2-want[r].Dist2) > 1e-12 {
-				t.Fatalf("query %d rank %d mismatch", i, r)
-			}
-		}
-	}
-}
-
 func TestDuplicatePoints(t *testing.T) {
 	// Many coincident points must not break the build or queries.
 	pts := make([]mathutil.Vec3, 64)
@@ -178,9 +103,9 @@ func TestDuplicatePoints(t *testing.T) {
 	if len(res) != 10 {
 		t.Fatalf("got %d", len(res))
 	}
-	for _, nb := range res {
-		if nb.Dist2 != 0 {
-			t.Fatalf("dist %g", nb.Dist2)
+	for i, nb := range res {
+		if nb.Index != i || nb.Dist2 != 0 {
+			t.Fatalf("rank %d: %+v, want the coincident point of index %d", i, nb, i)
 		}
 	}
 }
@@ -195,12 +120,6 @@ func TestLargeParallelBuildConsistent(t *testing.T) {
 	rng := mathutil.NewRNG(6)
 	for trial := 0; trial < 20; trial++ {
 		q := mathutil.Vec3{X: rng.Float64(), Y: rng.Float64(), Z: rng.Float64()}
-		got := tree.KNearest(q, 5)
-		want := bruteKNN(pts, q, 5)
-		for i := range want {
-			if math.Abs(got[i].Dist2-want[i].Dist2) > 1e-12 {
-				t.Fatalf("trial %d rank %d", trial, i)
-			}
-		}
+		sameNeighbors(t, tree.KNearest(q, 5), bruteKNN(pts, q, 5))
 	}
 }

@@ -1,6 +1,7 @@
 package kdtree
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -10,8 +11,8 @@ import (
 
 // bruteNeighbors is the reference implementation: compute every
 // distance, sort by (dist2, index). The tree computes distances with
-// the same mathutil.Vec3.Dist2, so distance comparisons below are
-// bit-exact, not tolerance-based.
+// the same expression as mathutil.Vec3.Dist2, so the comparisons below
+// are bit-exact, not tolerance-based.
 func bruteNeighbors(points []mathutil.Vec3, q mathutil.Vec3) []Neighbor {
 	out := make([]Neighbor, len(points))
 	for i, p := range points {
@@ -26,49 +27,56 @@ func bruteNeighbors(points []mathutil.Vec3, q mathutil.Vec3) []Neighbor {
 	return out
 }
 
-// checkKNN verifies one KNearest call against brute force. Tie order is
-// unspecified, so the contract checked is:
-//
-//  1. result length = min(k, n);
-//  2. distances ascend and match the brute-force distance sequence
-//     exactly (this pins boundary ties: any valid tie resolution
-//     yields the same distance multiset);
-//  3. indices are distinct, in range, and each reported Dist2 really
-//     is the distance to the reported point.
+// bruteKNN is the canonical k-NN list by exhaustive search: the first
+// min(k, n) entries of bruteNeighbors, none for k <= 0.
+func bruteKNN(points []mathutil.Vec3, q mathutil.Vec3, k int) []Neighbor {
+	return bruteNeighbors(points, q)[:max(0, min(k, len(points)))]
+}
+
+// sameNeighbors fails unless got equals want index for index, with
+// bit-identical distances.
+func sameNeighbors(t *testing.T, got, want []Neighbor) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("got %d neighbors, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Index != want[i].Index || math.Float64bits(got[i].Dist2) != math.Float64bits(want[i].Dist2) {
+			t.Fatalf("rank %d: got %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// checkBatch runs KNearestBatchInto over queries at workers 1 and 3 and
+// checks every query's window against brute force: the canonical list,
+// then {-1, +Inf} padding up to k.
+func checkBatch(t *testing.T, tree *Tree, points, queries []mathutil.Vec3, k int) {
+	t.Helper()
+	wants := make([][]Neighbor, len(queries))
+	for i, q := range queries {
+		wants[i] = bruteKNN(points, q, k)
+	}
+	for _, workers := range []int{1, 3} {
+		flat := tree.KNearestBatchInto(queries, k, workers, make([]Neighbor, len(queries)*k))
+		for i, want := range wants {
+			window := flat[i*k : (i+1)*k]
+			sameNeighbors(t, window[:len(want)], want)
+			for j, nb := range window[len(want):] {
+				if nb.Index != -1 || !math.IsInf(nb.Dist2, 1) {
+					t.Fatalf("workers=%d query %d rank %d: want padding, got %+v", workers, i, len(want)+j, nb)
+				}
+			}
+		}
+	}
+}
+
+// checkKNN verifies one KNearest call against brute force. Results are
+// canonical (ascending Dist2, then ascending Index), so the list must
+// equal the exhaustive one exactly, boundary ties included: its length
+// is min(k, n) and every index and distance bit matches.
 func checkKNN(t *testing.T, points []mathutil.Vec3, q mathutil.Vec3, k int) {
 	t.Helper()
-	got := Build(points).KNearest(q, k)
-	want := bruteNeighbors(points, q)
-
-	wantLen := k
-	if len(points) < k {
-		wantLen = len(points)
-	}
-	if k <= 0 {
-		wantLen = 0
-	}
-	if len(got) != wantLen {
-		t.Fatalf("k=%d over %d points: got %d neighbors, want %d", k, len(points), len(got), wantLen)
-	}
-	seen := make(map[int]bool, len(got))
-	for i, nb := range got {
-		if nb.Index < 0 || nb.Index >= len(points) {
-			t.Fatalf("neighbor %d: index %d out of range", i, nb.Index)
-		}
-		if seen[nb.Index] {
-			t.Fatalf("neighbor %d: duplicate index %d", i, nb.Index)
-		}
-		seen[nb.Index] = true
-		if d := points[nb.Index].Dist2(q); d != nb.Dist2 {
-			t.Fatalf("neighbor %d: reported dist2 %v but point %d is at %v", i, nb.Dist2, nb.Index, d)
-		}
-		if i > 0 && got[i-1].Dist2 > nb.Dist2 {
-			t.Fatalf("neighbors out of order: %v then %v", got[i-1].Dist2, nb.Dist2)
-		}
-		if nb.Dist2 != want[i].Dist2 {
-			t.Fatalf("neighbor %d: dist2 %v, brute force says %v", i, nb.Dist2, want[i].Dist2)
-		}
-	}
+	sameNeighbors(t, Build(points).KNearest(q, k), bruteKNN(points, q, k))
 }
 
 // randomCloud draws n points from one of several degenerate-prone
@@ -107,8 +115,10 @@ func randomCloud(rng *rand.Rand, n int) []mathutil.Vec3 {
 // k > n and k = n), tree results agree with exhaustive search. The
 // uniform-cloud sweep lives in TestKNearestMatchesBruteForce; this one
 // exists because ties (duplicates, lattices, flat planes) exercise the
-// heap's boundary behavior and the split-axis choice in ways uniform
-// random points essentially never do.
+// canonical tie-break, pruning at equal distances and the split-axis
+// choice in ways uniform random points essentially never do. Each
+// cloud is also queried as a batch (the query, then its points in
+// order) to exercise the warm start.
 func TestKNearestDegenerateClouds(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 200; trial++ {
@@ -122,6 +132,7 @@ func TestKNearestDegenerateClouds(t *testing.T) {
 			q = mathutil.Vec3{X: rng.Float64()*2 - 0.5, Y: rng.Float64()*2 - 0.5, Z: rng.Float64()*2 - 0.5}
 		}
 		checkKNN(t, pts, q, k)
+		checkBatch(t, Build(pts), pts, append([]mathutil.Vec3{q}, pts...), k)
 	}
 }
 
@@ -153,34 +164,49 @@ func TestKNearestDegenerateInputs(t *testing.T) {
 	})
 }
 
-// TestWithinRadiusDegenerateClouds checks the range query against
-// exhaustive search as an index-set equality (results are unordered)
-// over the same tie-heavy cloud shapes, plus the negative-radius edge.
-func TestWithinRadiusDegenerateClouds(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 100; trial++ {
-		pts := randomCloud(rng, 1+rng.Intn(50))
-		tr := Build(pts)
-		q := mathutil.Vec3{X: rng.Float64(), Y: rng.Float64(), Z: rng.Float64()}
-		r := rng.Float64() * 1.5
-
-		got := tr.WithinRadius(q, r, nil)
-		gotSet := make(map[int]bool, len(got))
-		for _, idx := range got {
-			if gotSet[idx] {
-				t.Fatalf("trial %d: duplicate index %d", trial, idx)
+// TestKNearestGridNodes samples the nodes of anisotropic regular grids
+// and queries every node in raster order, as the reconstruction
+// workloads do. Grid nodes tie exactly and often: on the dyadic grid
+// every distance is exact, on the decimal one the rounded node
+// coordinates make ties and near-ties. KNearestInto and
+// KNearestBatchInto must both return the canonical list.
+func TestKNearestGridNodes(t *testing.T) {
+	for _, g := range []struct {
+		name            string
+		nx, ny, nz      int
+		origin, spacing mathutil.Vec3
+	}{
+		{"dyadic", 21, 13, 6, mathutil.Vec3{}, mathutil.Vec3{X: 0.5, Y: 0.25, Z: 2}},
+		{"decimal", 19, 15, 7, mathutil.Vec3{X: -1.3, Y: 0.7, Z: 2.1}, mathutil.Vec3{X: 0.1, Y: 0.3, Z: 0.7}},
+	} {
+		t.Run(g.name, func(t *testing.T) {
+			var nodes []mathutil.Vec3
+			for k := 0; k < g.nz; k++ {
+				for j := 0; j < g.ny; j++ {
+					for i := 0; i < g.nx; i++ {
+						nodes = append(nodes, mathutil.Vec3{
+							X: g.origin.X + float64(i)*g.spacing.X,
+							Y: g.origin.Y + float64(j)*g.spacing.Y,
+							Z: g.origin.Z + float64(k)*g.spacing.Z,
+						})
+					}
+				}
 			}
-			gotSet[idx] = true
-		}
-		for i, p := range pts {
-			in := p.Dist2(q) <= r*r
-			if in != gotSet[i] {
-				t.Fatalf("trial %d: point %d dist2=%v r2=%v: in=%v but reported=%v",
-					trial, i, p.Dist2(q), r*r, in, gotSet[i])
+			rng := rand.New(rand.NewSource(17))
+			var pts []mathutil.Vec3
+			for _, p := range nodes {
+				if rng.Intn(20) == 0 {
+					pts = append(pts, p)
+				}
 			}
-		}
-		if neg := tr.WithinRadius(q, -1, nil); len(neg) != 0 {
-			t.Fatalf("negative radius returned %d points", len(neg))
-		}
+			tree := Build(pts)
+			for _, k := range []int{1, 5, 12} {
+				buf := make([]Neighbor, 0, k)
+				for _, q := range nodes {
+					sameNeighbors(t, tree.KNearestInto(q, k, buf), bruteKNN(pts, q, k))
+				}
+				checkBatch(t, tree, pts, nodes, k)
+			}
+		})
 	}
 }
