@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short race check lint bench bench-baseline bench-gate bench-gate-advisory experiments-smoke serve-smoke cluster-smoke train-smoke cover fuzz clean
+.PHONY: all build vet test test-short race check lint bench experiments-smoke serve-smoke cluster-smoke train-smoke cover fuzz clean
 
 all: build vet test
 
@@ -25,9 +25,8 @@ race:
 	$(GO) test -race -short ./...
 
 # The full pre-commit gate: compile, vet, project lint, race-check,
-# test, plus an advisory benchmark-regression comparison (advisory
-# because wall time is machine-dependent; promote with bench-gate).
-check: build vet lint race test-short bench-gate-advisory
+# test. Speed is measured by perfbench (see perfbench/README.md).
+check: build vet lint race test-short
 
 # The project's own static-analysis suite (cmd/fillvoid-lint): ten
 # typed checks over every package — four of them interprocedural
@@ -41,53 +40,39 @@ lint:
 bench:
 	$(GO) test -bench=. -benchmem ./... | tee bench_output.txt
 
-# The benchmark-regression gate compares a fresh fixed-seed experiment
-# run against the committed BENCH_experiments.json baseline
-# (cmd/fillvoid-bench). bench-baseline regenerates the baseline —
-# commit the result deliberately, it moves the goalposts.
-BENCH_FLAGS = -exp fig9 -scale tiny -seed 42 -workers 4 -quiet
-
-bench-baseline:
-	$(GO) run ./cmd/experiments $(BENCH_FLAGS) -bench-out BENCH_experiments.json
-
-bench-gate:
-	$(GO) run ./cmd/experiments $(BENCH_FLAGS) -bench-out bench_current.json
-	$(GO) run ./cmd/fillvoid-bench -baseline BENCH_experiments.json -current bench_current.json
-	rm -f bench_current.json
-
-bench-gate-advisory:
-	$(GO) run ./cmd/experiments $(BENCH_FLAGS) -bench-out bench_current.json
-	$(GO) run ./cmd/fillvoid-bench -baseline BENCH_experiments.json -current bench_current.json -advisory
-	rm -f bench_current.json
-
 # Fast end-to-end sanity pass over every experiment.
 experiments-smoke:
 	$(GO) run ./cmd/experiments -exp all -scale tiny -quiet
 
-# Boots `fillvoid serve` on an ephemeral port, uploads a cloud, runs two
-# ROI reconstructions (the second must hit the plan cache), checks
-# /healthz, and SIGTERMs for a graceful drain.
+# The three smoke targets drive a built binary through scripts/smoke,
+# one scenario each; every scenario runs under a deadline and names the
+# step that hung.
+#
+# serve: boots `fillvoid serve` on an ephemeral port, uploads a cloud,
+# runs two ROI reconstructions (the second must hit the plan cache),
+# checks /healthz, and SIGTERMs for a graceful drain.
 serve-smoke:
 	$(GO) build -o fillvoid.smoke ./cmd/fillvoid
-	$(GO) run ./scripts/serve-smoke -bin ./fillvoid.smoke
+	$(GO) run ./scripts/smoke -bin ./fillvoid.smoke serve
 	rm -f fillvoid.smoke
 
-# Boots three replicas joined by -peers plus a standalone reference,
-# uploads the same cloud to both worlds, and asserts a fanned-out
-# full-grid reconstruction is bit-identical to the standalone answer.
+# cluster: boots three replicas joined by -peers plus a standalone
+# reference, uploads the same cloud to both worlds, and asserts a
+# fanned-out full-grid reconstruction is bit-identical to the standalone
+# answer.
 cluster-smoke:
 	$(GO) build -o fillvoid.smoke ./cmd/fillvoid
-	$(GO) run ./scripts/cluster-smoke -bin ./fillvoid.smoke
+	$(GO) run ./scripts/smoke -bin ./fillvoid.smoke cluster
 	rm -f fillvoid.smoke
 
-# Boots `fillvoid serve -jobs-dir`, trains a fixed-seed job to
+# train: boots `fillvoid serve -jobs-dir`, trains a fixed-seed job to
 # completion for reference, re-runs it in a fresh jobs dir, SIGTERMs the
 # server mid-job, restarts on the same dir, and asserts the resumed job
 # finishes with the reference (bit-identical) model id, then
 # reconstructs by model_id.
 train-smoke:
 	$(GO) build -o fillvoid.smoke ./cmd/fillvoid
-	$(GO) run ./scripts/train-smoke -bin ./fillvoid.smoke
+	$(GO) run ./scripts/smoke -bin ./fillvoid.smoke train
 	rm -f fillvoid.smoke
 
 # Per-package coverage with hard floors on the inference hot path:
@@ -129,4 +114,4 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzKNearest -fuzztime=$(FUZZTIME) ./internal/kdtree
 
 clean:
-	rm -f cover.out test_output.txt bench_output.txt bench_current.json fillvoid.smoke
+	rm -f cover.out test_output.txt bench_output.txt fillvoid.smoke

@@ -8,10 +8,7 @@
 //	experiments -list                     # show the experiment index
 //
 // Output is an aligned text table per experiment (and optional CSV
-// files via -csv), matching the rows/series the paper reports. With
-// -bench-out a machine-readable run summary (per-experiment wall time,
-// the table rows including SNR, and the full telemetry snapshot with
-// per-stage span timings) is written as JSON.
+// files via -csv), matching the rows/series the paper reports.
 package main
 
 import (
@@ -20,12 +17,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
-	"strconv"
-	"strings"
 	"time"
 
-	"fillvoid/internal/bench"
 	"fillvoid/internal/experiments"
 	"fillvoid/internal/telemetry"
 	"fillvoid/internal/trace"
@@ -33,17 +26,16 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "", "experiment id (fig2..fig14, table1, table2, or 'all')")
-		scale    = flag.String("scale", "small", "workload scale: small, medium, paper")
-		dataset  = flag.String("dataset", "", "restrict multi-dataset experiments: isabel, combustion, ionization")
-		seed     = flag.Int64("seed", 42, "seed for sampling, init, and shuffles")
-		out      = flag.String("out", "", "directory for rendered images (fig2/fig3)")
-		csvDir   = flag.String("csv", "", "directory to also write <id>.csv files into")
-		workers  = flag.Int("workers", 0, "parallelism (0 = all cores)")
-		quant    = flag.String("quant", "", "quantized fcnn inference: f16 or int8 (empty = f64)")
-		quiet    = flag.Bool("quiet", false, "suppress progress logging")
-		list     = flag.Bool("list", false, "list available experiments and exit")
-		benchOut = flag.String("bench-out", "", "write a machine-readable run summary (e.g. BENCH_experiments.json)")
+		exp     = flag.String("exp", "", "experiment id (fig2..fig14, table1, table2, or 'all')")
+		scale   = flag.String("scale", "small", "workload scale: small, medium, paper")
+		dataset = flag.String("dataset", "", "restrict multi-dataset experiments: isabel, combustion, ionization")
+		seed    = flag.Int64("seed", 42, "seed for sampling, init, and shuffles")
+		out     = flag.String("out", "", "directory for rendered images (fig2/fig3)")
+		csvDir  = flag.String("csv", "", "directory to also write <id>.csv files into")
+		workers = flag.Int("workers", 0, "parallelism (0 = all cores)")
+		quant   = flag.String("quant", "", "quantized fcnn inference: f16 or int8 (empty = f64)")
+		quiet   = flag.Bool("quiet", false, "suppress progress logging")
+		list    = flag.Bool("list", false, "list available experiments and exit")
 	)
 	tf := telemetry.RegisterFlags(flag.CommandLine)
 	flag.Parse()
@@ -77,11 +69,6 @@ func main() {
 		}
 	}
 
-	// The bench summary embeds a telemetry snapshot, so it implies
-	// metric collection even without -metrics-out / -pprof.
-	if *benchOut != "" {
-		telemetry.Enable()
-	}
 	stop, err := tf.Start()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
@@ -111,16 +98,7 @@ func main() {
 		runners = []experiments.Runner{r}
 	}
 
-	summary := bench.Summary{
-		GeneratedUnixNS: time.Now().UnixNano(),
-		Scale:           *scale,
-		Dataset:         *dataset,
-		Seed:            *seed,
-		Quant:           *quant,
-	}
 	for _, r := range runners {
-		var msBefore runtime.MemStats
-		runtime.ReadMemStats(&msBefore)
 		start := time.Now()
 		// The trace root is named run/<id> so the telemetry span
 		// experiment/<id> nests under it instead of duplicating it.
@@ -130,8 +108,6 @@ func main() {
 		sp.End()
 		rootSp.End()
 		wall := time.Since(start)
-		var msAfter runtime.MemStats
-		runtime.ReadMemStats(&msAfter)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", r.ID, err)
 			os.Exit(1)
@@ -147,63 +123,13 @@ func main() {
 				os.Exit(1)
 			}
 		}
-		summary.Experiments = append(summary.Experiments, bench.Experiment{
-			ID:      res.ID,
-			Title:   res.Title,
-			WallMS:  float64(wall) / float64(time.Millisecond),
-			Columns: res.Columns,
-			Rows:    res.Rows,
-			SNRdB:   snrColumn(res),
-			Allocs:  msAfter.Mallocs - msBefore.Mallocs,
-			Notes:   res.Notes,
-		})
 		if !*quiet {
 			fmt.Fprintf(os.Stderr, "[%s] completed in %s\n", r.ID, wall.Round(time.Millisecond))
 		}
 	}
 
-	if *benchOut != "" {
-		summary.Telemetry = telemetry.Default().Snapshot()
-		if err := summary.WriteFile(*benchOut); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		if !*quiet {
-			fmt.Fprintf(os.Stderr, "wrote run summary to %s\n", *benchOut)
-		}
-	}
 	if err := stop(); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
-}
-
-// snrColumn parses the first SNR column out of the result rows: a
-// header mentioning "snr" ("snr_dB", "fcnn_snr", ...) or, in the
-// quality sweeps where every method column is an SNR in dB, the "fcnn"
-// column (the paper's method).
-func snrColumn(res *experiments.Result) []float64 {
-	col := -1
-	for i, c := range res.Columns {
-		lc := strings.ToLower(c)
-		if strings.Contains(lc, "snr") || lc == "fcnn" {
-			col = i
-			break
-		}
-	}
-	if col < 0 {
-		return nil
-	}
-	var vals []float64
-	for _, row := range res.Rows {
-		if col >= len(row) {
-			continue
-		}
-		v, err := strconv.ParseFloat(strings.TrimSpace(row[col]), 64)
-		if err != nil {
-			continue
-		}
-		vals = append(vals, v)
-	}
-	return vals
 }

@@ -71,13 +71,15 @@ var (
 	}
 
 	// goroLeakPkgs spawn goroutines that talk over channels; the leak
-	// check covers the serving path plus the smoke-test drivers (which
-	// historically leaked scanner goroutines on deadline abandonment).
+	// check covers the serving path plus the child-process helper and
+	// the smoke-test driver (whose earlier copies leaked scanner
+	// goroutines on deadline abandonment).
 	goroLeakPkgs = []string{
 		"fillvoid/internal/server",
 		"fillvoid/internal/cluster",
 		"fillvoid/internal/jobs",
 		"fillvoid/internal/parallel",
+		"fillvoid/internal/serveproc",
 		"fillvoid/scripts/",
 		"fillvoid/cmd/",
 	}

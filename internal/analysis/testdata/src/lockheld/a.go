@@ -75,10 +75,10 @@ func send(ch chan int) { ch <- 1 }
 func (s *store) persist(f *os.File) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return atomicWrite(f) // want "mu held across atomicWrite → flush → an fsync"
+	return writeDurably(f) // want "mu held across writeDurably → flush → an fsync"
 }
 
-func atomicWrite(f *os.File) error { return flush(f) }
+func writeDurably(f *os.File) error { return flush(f) }
 
 func flush(f *os.File) error { return f.Sync() }
 

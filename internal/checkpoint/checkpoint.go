@@ -179,11 +179,10 @@ func parseEpoch(name string) int {
 	return epoch
 }
 
-// Save atomically writes a checkpoint for meta.Epoch: encode to a temp
-// file, fsync it, rename it into place, fsync the directory, then prune
-// beyond the retention depth. A failure at any step leaves previously
-// published checkpoints untouched — the temp file is removed (best
-// effort) and the error returned.
+// Save atomically writes a checkpoint for meta.Epoch through
+// WriteFile, then prunes beyond the retention depth. A failure at any
+// step leaves previously published checkpoints untouched and returns
+// the error.
 func (m *Manager) Save(meta Meta, payload any) (path string, err error) {
 	_, sp := m.tel.Start(context.TODO(), "checkpoint/save")
 	defer sp.End()
@@ -206,14 +205,6 @@ func (m *Manager) Save(meta Meta, payload any) (path string, err error) {
 		return "", fmt.Errorf("checkpoint: encoding envelope: %w", err)
 	}
 
-	f, err := m.fs.CreateTemp(m.dir, tmpPattern)
-	if err != nil {
-		return "", fmt.Errorf("checkpoint: creating temp file: %w", err)
-	}
-	tmp := f.Name()
-	//lint:allow errdrop: cleanup is best-effort; the save error already being returned is the one that matters
-	cleanup := func() { m.fs.Remove(tmp) }
-
 	var hdr [13]byte
 	copy(hdr[:4], magic[:])
 	hdr[4] = formatVersion
@@ -222,31 +213,9 @@ func (m *Manager) Save(meta Meta, payload any) (path string, err error) {
 	var crc [4]byte
 	binary.LittleEndian.PutUint32(crc[:], sum)
 
-	for _, chunk := range [][]byte{hdr[:], body.Bytes(), crc[:]} {
-		if _, err := f.Write(chunk); err != nil {
-			//lint:allow errdrop: the write error is being returned and the temp file removed; Close only releases the fd
-			f.Close()
-			cleanup()
-			return "", fmt.Errorf("checkpoint: writing %s: %w", tmp, err)
-		}
-	}
-	if err := f.Sync(); err != nil {
-		//lint:allow errdrop: the sync error is being returned and the temp file removed; Close only releases the fd
-		f.Close()
-		cleanup()
-		return "", fmt.Errorf("checkpoint: syncing %s: %w", tmp, err)
-	}
-	if err := f.Close(); err != nil {
-		cleanup()
-		return "", fmt.Errorf("checkpoint: closing %s: %w", tmp, err)
-	}
 	final := filepath.Join(m.dir, fileName(meta.Epoch))
-	if err := m.fs.Rename(tmp, final); err != nil {
-		cleanup()
-		return "", fmt.Errorf("checkpoint: publishing %s: %w", final, err)
-	}
-	if err := m.fs.SyncDir(m.dir); err != nil {
-		return "", fmt.Errorf("checkpoint: syncing dir %s: %w", m.dir, err)
+	if err := WriteFile(m.fs, final, tmpPattern, hdr[:], body.Bytes(), crc[:]); err != nil {
+		return "", err
 	}
 	m.tel.Counter("checkpoint.saves").Inc()
 	m.tel.Counter("checkpoint.save_bytes").Add(int64(13 + body.Len() + 4))

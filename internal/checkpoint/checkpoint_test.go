@@ -419,3 +419,46 @@ func TestForeignFilesIgnored(t *testing.T) {
 	}
 	checkPayload(t, got, 3)
 }
+
+// TestWriteFileFaultAtEveryStep injects a fault into each step of the
+// durable write in turn: every fault returns the injected error and
+// leaves no temp file behind, and a fault before the rename leaves the
+// old target untouched.
+func TestWriteFileFaultAtEveryStep(t *testing.T) {
+	for _, c := range []struct {
+		op          faultfs.Op
+		n           int
+		mode        faultfs.Mode
+		afterRename bool
+	}{
+		{faultfs.OpCreateTemp, 1, faultfs.Fail, false},
+		{faultfs.OpWrite, 1, faultfs.Fail, false},
+		{faultfs.OpWrite, 2, faultfs.Torn, false},
+		{faultfs.OpSync, 1, faultfs.Fail, false},
+		{faultfs.OpClose, 1, faultfs.Fail, false},
+		{faultfs.OpRename, 1, faultfs.Fail, false},
+		{faultfs.OpSyncDir, 1, faultfs.Fail, true},
+	} {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "job.json")
+		if err := os.WriteFile(path, []byte("old"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ffs := faultfs.New(nil)
+		ffs.Arm(c.op, c.n, c.mode)
+		err := checkpoint.WriteFile(ffs, path, ".job.json-*", []byte("new "), []byte("contents"))
+		if !errors.Is(err, faultfs.ErrInjected) {
+			t.Errorf("%s #%d: WriteFile = %v, want ErrInjected", c.op, c.n, err)
+		}
+		if names := published(t, dir); len(names) != 1 || names[0] != "job.json" {
+			t.Errorf("%s #%d: dir holds %v, want only job.json", c.op, c.n, names)
+		}
+		want := "old"
+		if c.afterRename {
+			want = "new contents"
+		}
+		if got, err := os.ReadFile(path); err != nil || string(got) != want {
+			t.Errorf("%s #%d: job.json = %q (%v), want %q", c.op, c.n, got, err, want)
+		}
+	}
+}

@@ -1,8 +1,10 @@
 package checkpoint
 
 import (
+	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 )
 
 // File is the writable-file surface the checkpoint writer needs. The
@@ -71,4 +73,56 @@ func (osFS) SyncDir(dir string) error {
 		return serr
 	}
 	return cerr
+}
+
+// WriteFile durably replaces path with the concatenation of chunks. It
+// writes them, one Write each, to a new temp file in path's directory
+// (named from pattern, as in os.CreateTemp), fsyncs and closes it,
+// renames it to path, and fsyncs the directory so the rename itself
+// survives power loss. A failure before the rename removes the temp
+// file (best effort) and leaves an existing path untouched; a failed
+// directory fsync is reported after the rename has happened.
+func WriteFile(fsys FS, path, pattern string, chunks ...[]byte) error {
+	dir := filepath.Dir(path)
+	f, err := fsys.CreateTemp(dir, pattern)
+	if err != nil {
+		return fmt.Errorf("checkpoint: creating temp file: %w", err)
+	}
+	tmp := f.Name()
+	err = writeTemp(f, chunks)
+	if err == nil {
+		if err = fsys.Rename(tmp, path); err != nil {
+			err = fmt.Errorf("publishing %s: %w", path, err)
+		}
+	}
+	if err != nil {
+		//lint:allow errdrop: cleanup is best-effort; the error being returned is the one that matters
+		fsys.Remove(tmp)
+		return fmt.Errorf("checkpoint: %w", err)
+	}
+	if err := fsys.SyncDir(dir); err != nil {
+		return fmt.Errorf("checkpoint: syncing dir %s: %w", dir, err)
+	}
+	return nil
+}
+
+// writeTemp writes chunks to f, fsyncs it and closes it. f is closed
+// whatever the outcome.
+func writeTemp(f File, chunks [][]byte) error {
+	for _, chunk := range chunks {
+		if _, err := f.Write(chunk); err != nil {
+			//lint:allow errdrop: the write error is the one reported; Close only releases the fd
+			f.Close()
+			return fmt.Errorf("writing %s: %w", f.Name(), err)
+		}
+	}
+	if err := f.Sync(); err != nil {
+		//lint:allow errdrop: the sync error is the one reported; Close only releases the fd
+		f.Close()
+		return fmt.Errorf("syncing %s: %w", f.Name(), err)
+	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("closing %s: %w", f.Name(), err)
+	}
+	return nil
 }

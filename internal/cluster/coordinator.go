@@ -94,7 +94,7 @@ type FanoutResult struct {
 // participates builds (and caches) the same (cloud, spec) plan and
 // repeat queries hit warm caches cluster-wide.
 func (c *Cluster) Fanout(ctx context.Context, q *Query, width int) (*FanoutResult, error) {
-	shards := splitBox(q.Region, width)
+	shards := q.Region.Split(width)
 	replicas := c.replicasFor(q.KeyHash, len(c.Members()))
 	out := make([]float64, q.Region.Len())
 	var hedged atomic.Int64

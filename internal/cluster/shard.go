@@ -2,46 +2,6 @@ package cluster
 
 import "fillvoid/internal/recon"
 
-// splitBox cuts a box region into up to n contiguous slabs along its
-// largest axis (ties prefer z, the outermost axis, whose slabs are
-// contiguous runs of the output array). Every grid node of r lands in
-// exactly one shard, in ascending slab order, so stitching the shard
-// outputs back reproduces the single-run output exactly. Fewer than n
-// shards come back when the axis is shorter than n.
-func splitBox(r recon.Region, n int) []recon.Region {
-	nx, ny, nz := r.Dims()
-	axis, extent := 2, nz
-	if ny > extent {
-		axis, extent = 1, ny
-	}
-	if nx > extent {
-		axis, extent = 0, nx
-	}
-	if n > extent {
-		n = extent
-	}
-	if n <= 1 {
-		return []recon.Region{r}
-	}
-	shards := make([]recon.Region, 0, n)
-	for s := 0; s < n; s++ {
-		// Even split with the remainder spread over the first shards.
-		lo := s * extent / n
-		hi := (s + 1) * extent / n
-		sub := r
-		switch axis {
-		case 0:
-			sub.I0, sub.I1 = r.I0+lo, r.I0+hi
-		case 1:
-			sub.J0, sub.J1 = r.J0+lo, r.J0+hi
-		default:
-			sub.K0, sub.K1 = r.K0+lo, r.K0+hi
-		}
-		shards = append(shards, sub)
-	}
-	return shards
-}
-
 // stitch copies one shard's output (box-local, x-fastest order, as the
 // engine and the HTTP API emit it) into the full region's output
 // array at the right offsets. dst is the flat output for region; src

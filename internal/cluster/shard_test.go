@@ -6,52 +6,6 @@ import (
 	"fillvoid/internal/recon"
 )
 
-// TestSplitBoxPartitions: for a range of boxes and widths, the shards
-// must tile the box exactly — every cell in exactly one shard — and
-// follow ascending slab order along one axis.
-func TestSplitBoxPartitions(t *testing.T) {
-	boxes := []recon.Region{
-		recon.Box(0, 0, 0, 16, 12, 8),
-		recon.Box(3, 2, 1, 11, 10, 5),
-		recon.Box(0, 0, 0, 1, 1, 7),
-		recon.Box(0, 0, 0, 9, 1, 1),
-		recon.Box(2, 2, 2, 3, 3, 3), // single cell
-	}
-	for _, box := range boxes {
-		for _, n := range []int{1, 2, 3, 4, 7, 64} {
-			shards := splitBox(box, n)
-			if len(shards) < 1 || len(shards) > n {
-				t.Fatalf("splitBox(%v, %d) returned %d shards", box, n, len(shards))
-			}
-			total := 0
-			seen := make(map[[3]int]int)
-			for si, s := range shards {
-				if s.Len() == 0 {
-					t.Fatalf("splitBox(%v, %d): shard %d is empty", box, n, si)
-				}
-				total += s.Len()
-				for m := 0; m < s.Len(); m++ {
-					i, j, k := s.Coords(m)
-					cell := [3]int{i, j, k}
-					if prev, dup := seen[cell]; dup {
-						t.Fatalf("cell %v in shards %d and %d", cell, prev, si)
-					}
-					seen[cell] = si
-				}
-			}
-			if total != box.Len() {
-				t.Fatalf("splitBox(%v, %d) covers %d cells, want %d", box, n, total, box.Len())
-			}
-			for m := 0; m < box.Len(); m++ {
-				i, j, k := box.Coords(m)
-				if _, ok := seen[[3]int{i, j, k}]; !ok {
-					t.Fatalf("cell (%d,%d,%d) of %v missing from shards", i, j, k, box)
-				}
-			}
-		}
-	}
-}
-
 // TestStitchReassemblesExactly: stitching per-shard outputs (each in
 // box-local x-fastest order) must reproduce the flat region output of a
 // single run, element for element.
@@ -67,7 +21,7 @@ func TestStitchReassemblesExactly(t *testing.T) {
 
 	for _, n := range []int{1, 2, 3, 5, 12} {
 		got := make([]float64, region.Len())
-		for _, shard := range splitBox(region, n) {
+		for _, shard := range region.Split(n) {
 			src := make([]float64, shard.Len())
 			for m := range src {
 				i, j, k := shard.Coords(m)

@@ -676,7 +676,7 @@ func (m *Manager) finish(j *job, state State, modelID, errMsg string) {
 	telemetry.Infof("job finished", "job", j.rec.ID, "state", state, "model", modelID, "err", errMsg)
 }
 
-// persist writes the job's record atomically to its job.json.
+// persist writes the job's record durably to its job.json.
 func (m *Manager) persist(j *job) error {
 	j.mu.Lock()
 	rec := j.rec
@@ -689,7 +689,7 @@ func (m *Manager) persist(j *job) error {
 	if err != nil {
 		return fmt.Errorf("jobs: %w", err)
 	}
-	return atomicWrite(dir, "job.json", b)
+	return checkpoint.WriteFile(checkpoint.OS(), filepath.Join(dir, "job.json"), ".job.json-*", b)
 }
 
 func readRecord(path string) (Record, error) {
@@ -714,7 +714,7 @@ func (m *Manager) writeInput(id string, in jobInput) error {
 	if err := gob.NewEncoder(&buf).Encode(in); err != nil {
 		return fmt.Errorf("jobs: %w", err)
 	}
-	return atomicWrite(dir, "input.gob", buf.Bytes())
+	return checkpoint.WriteFile(checkpoint.OS(), filepath.Join(dir, "input.gob"), ".input.gob-*", buf.Bytes())
 }
 
 func (m *Manager) readInput(id string) (jobInput, error) {
@@ -727,29 +727,4 @@ func (m *Manager) readInput(id string) (jobInput, error) {
 		return jobInput{}, fmt.Errorf("jobs: %w", err)
 	}
 	return in, nil
-}
-
-// atomicWrite writes name under dir via temp + fsync + rename so a
-// crash can never leave a torn file.
-func atomicWrite(dir, name string, b []byte) error {
-	tmp, err := os.CreateTemp(dir, "."+name+"-*")
-	if err != nil {
-		return fmt.Errorf("jobs: %w", err)
-	}
-	_, werr := tmp.Write(b)
-	if werr == nil {
-		werr = tmp.Sync()
-	}
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		//lint:allow errdrop: best-effort cleanup of a temp file already being reported
-		_ = os.Remove(tmp.Name())
-		return fmt.Errorf("jobs: %w", werr)
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, name)); err != nil {
-		return fmt.Errorf("jobs: %w", err)
-	}
-	return nil
 }

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 
+	"fillvoid/internal/checkpoint"
 	"fillvoid/internal/core"
 	"fillvoid/internal/telemetry"
 )
@@ -138,8 +139,8 @@ func decode(id string, raw []byte) (*core.FCNN, error) {
 }
 
 // put caches a verified model and persists its bytes through
-// atomicWrite, so a crash mid-write never leaves a torn file under a
-// valid id.
+// checkpoint.WriteFile, so a crash mid-write never leaves a torn file
+// under a valid id.
 func (s *ModelStore) put(id string, raw []byte, m *core.FCNN) error {
 	if _, added := s.insert(id, &modelEntry{raw: raw, model: m}); added {
 		s.tel.Counter("jobs.models.stored").Inc()
@@ -150,7 +151,7 @@ func (s *ModelStore) put(id string, raw []byte, m *core.FCNN) error {
 	if _, err := os.Stat(s.path(id)); err == nil {
 		return nil // content-addressed: an existing file is already right
 	}
-	return atomicWrite(s.dir, id+".fcnn", raw)
+	return checkpoint.WriteFile(checkpoint.OS(), s.path(id), "."+id+".fcnn-*", raw)
 }
 
 // insert caches e under id unless id is cached already, and returns the

@@ -173,6 +173,43 @@ func (r Region) Origin(s GridSpec) mathutil.Vec3 {
 	return s.Point(r.I0, r.J0, r.K0)
 }
 
+// Split cuts a box region into at most n contiguous slabs along its
+// largest axis; ties prefer z, then y (z slabs are contiguous runs of
+// the output array). Slab s covers [s·e/n, (s+1)·e/n) of the axis's
+// extent e, so slab sizes differ by at most one. Every grid node of r
+// lands in exactly one slab and the slabs ascend along the axis, so
+// stitching their outputs back reproduces r's output exactly. Fewer
+// than n slabs come back when the axis is shorter than n.
+func (r Region) Split(n int) []Region {
+	nx, ny, nz := r.Dims()
+	axis, extent := 2, nz
+	if ny > extent {
+		axis, extent = 1, ny
+	}
+	if nx > extent {
+		axis, extent = 0, nx
+	}
+	n = min(n, extent)
+	if n <= 1 {
+		return []Region{r}
+	}
+	slabs := make([]Region, n)
+	for s := range slabs {
+		lo, hi := s*extent/n, (s+1)*extent/n
+		slab := r
+		switch axis {
+		case 0:
+			slab.I0, slab.I1 = r.I0+lo, r.I0+hi
+		case 1:
+			slab.J0, slab.J1 = r.J0+lo, r.J0+hi
+		default:
+			slab.K0, slab.K1 = r.K0+lo, r.K0+hi
+		}
+		slabs[s] = slab
+	}
+	return slabs
+}
+
 // Validate checks the region against a spec.
 func (r Region) Validate(s GridSpec) error {
 	if r.IsPoints() {

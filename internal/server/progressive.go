@@ -82,7 +82,7 @@ func (s *Server) progressiveReconstruct(ctx context.Context, w http.ResponseWrit
 	if req.ProgressiveChunks > 0 {
 		chunks = int(min64(req.ProgressiveChunks, maxProgressiveChunks))
 	}
-	slabs := splitRegion(region, chunks)
+	slabs := region.Split(chunks)
 
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
@@ -155,44 +155,6 @@ func (s *Server) streamFail(ctx context.Context, emit func(any) bool, err error)
 	}
 	s.tel.Counter("server.progressive.stream_errors").Inc()
 	emit(&progressiveError{Type: "error", Error: err.Error()})
-}
-
-// splitRegion cuts a box region into at most n contiguous slabs along
-// its largest axis. Slabs tile the region exactly and stay in axis
-// order, so concatenating their values reassembles the box.
-func splitRegion(r recon.Region, n int) []recon.Region {
-	nx, ny, nz := r.Dims()
-	if n < 1 {
-		n = 1
-	}
-	axisLen := nz
-	if ny > axisLen {
-		axisLen = ny
-	}
-	if nx > axisLen {
-		axisLen = nx
-	}
-	if n > axisLen {
-		n = axisLen
-	}
-	out := make([]recon.Region, 0, n)
-	for c := 0; c < n; c++ {
-		lo, hi := c*axisLen/n, (c+1)*axisLen/n
-		if lo == hi {
-			continue
-		}
-		slab := r
-		switch {
-		case axisLen == nz:
-			slab.K0, slab.K1 = r.K0+lo, r.K0+hi
-		case axisLen == ny:
-			slab.J0, slab.J1 = r.J0+lo, r.J0+hi
-		default:
-			slab.I0, slab.I1 = r.I0+lo, r.I0+hi
-		}
-		out = append(out, slab)
-	}
-	return out
 }
 
 // coarseStride picks the smallest uniform stride that keeps the preview
