@@ -8,12 +8,19 @@ import (
 	"testing"
 )
 
-// TestAVXDetectionMatchesCPUInfo checks the CPUID/XGETBV probe behind
-// useAVX against the kernel's own view: the flags line of /proc/cpuinfo
-// lists avx only when the CPU has it and the OS saves YMM state. A
-// wrong bit or mask would silently route every forward pass onto the
-// slower Go kernel.
+// TestAVXDetectionMatchesCPUInfo checks the CPUID/XGETBV probes behind
+// hostKernels against the kernel's own view: the flags line of
+// /proc/cpuinfo lists avx and avx512f only when the CPU has them and
+// the OS saves their register state. A wrong bit or mask would either
+// fault on the first vector instruction or silently route every dense
+// GEMM onto a slower kernel. It logs the kernels this host covers, so a
+// run without AVX-512 says so.
 func TestAVXDetectionMatchesCPUInfo(t *testing.T) {
+	names := make([]string, len(hostKernels))
+	for i, k := range hostKernels {
+		names[i] = k.name
+	}
+	t.Logf("kernels on this host, widest first: %s", strings.Join(names, ", "))
 	if runtime.GOOS != "linux" {
 		t.Skip("/proc/cpuinfo is Linux-only")
 	}
@@ -26,9 +33,20 @@ func TestAVXDetectionMatchesCPUInfo(t *testing.T) {
 		if !ok || strings.TrimSpace(name) != "flags" {
 			continue
 		}
-		want := slices.Contains(strings.Fields(flags), "avx")
-		if useAVX != want {
-			t.Fatalf("useAVX = %v, /proc/cpuinfo lists avx: %v", useAVX, want)
+		for _, p := range []struct {
+			flag, kernel string
+			probe        bool
+		}{
+			{"avx", "avx", cpuHasAVX()},
+			{"avx512f", "avx512", cpuHasAVX512()},
+		} {
+			want := slices.Contains(strings.Fields(flags), p.flag)
+			if p.probe != want {
+				t.Errorf("probe for %s = %v, /proc/cpuinfo lists %s: %v", p.kernel, p.probe, p.flag, want)
+			}
+			if got := slices.Contains(names, p.kernel); got != want {
+				t.Errorf("hostKernels has %s: %v, /proc/cpuinfo lists %s: %v", p.kernel, got, p.flag, want)
+			}
 		}
 		return
 	}

@@ -117,33 +117,32 @@ func kernelInput(rows, in int, seed int64) *Matrix {
 // arithmetic produces this signalling-NaN pattern.
 var unwritten = math.Float64frombits(0x7ff0_dead_beef_0001)
 
-// withKernelDispatch runs f once with the kernel denseForward selects
-// for the running CPU and once with the AVX kernel switched off,
-// restoring the detected choice afterwards.
-func withKernelDispatch(t *testing.T, f func(t *testing.T)) {
-	detected := useAVX
-	t.Cleanup(func() { useAVX = detected })
-	for _, on := range []bool{detected, false} {
-		useAVX = on
-		name := "portable"
-		if on {
-			name = "avx"
-		}
-		t.Run(name, f)
+// eachKernel runs f as one subtest or sub-benchmark per kernel this
+// host has, widest first, each named after its kernel, and restores
+// the detected kernel afterwards.
+func eachKernel[T interface {
+	testing.TB
+	Run(string, func(T)) bool
+}](t T, f func(T)) {
+	detected := kern
+	defer func() { kern = detected }()
+	for _, k := range hostKernels {
+		kern = k
+		t.Run(k.name, f)
 	}
 }
 
-// TestDenseForwardMatchesScalar pins the kernel contract by Float64bits
-// against the scalar oracle, over every split denseForward makes (4×8
-// blocks, several blocks per row, 1–7 leftover outputs, leftover rows)
-// and over the pure-Go denseForwardBlocked alone, with and without
-// ReLU, both with the detected dispatch and with AVX switched off.
-// Output 0 has a -0 bias and negative weights, so an all-zero row sums
-// to exactly -0; other rows carry NaN and ±Inf. ReLU must keep -0 and
-// NaN as `if s < 0 { s = 0 }` does: Go's max(s, 0) turns -0 into +0,
-// and VMAXPD with its sources swapped turns both into +0.
+// TestDenseForwardMatchesScalar pins the block driver by Float64bits
+// against the scalar oracle on every kernel the host has, over every
+// split denseForward makes (whole row and output blocks, several output
+// blocks per row, a partial block of 1–7 outputs, leftover rows padded
+// to a row block), with and without ReLU. Output 0 has a -0 bias and
+// negative weights, so an all-zero row sums to exactly -0; other rows
+// carry NaN and ±Inf. ReLU must keep -0 and NaN as
+// `if s < 0 { s = 0 }` does: Go's max(s, 0) turns -0 into +0, and
+// VMAXPD with its sources swapped turns both into +0.
 func TestDenseForwardMatchesScalar(t *testing.T) {
-	withKernelDispatch(t, testDenseForwardMatchesScalar)
+	eachKernel(t, testDenseForwardMatchesScalar)
 }
 
 func testDenseForwardMatchesScalar(t *testing.T) {
@@ -161,42 +160,27 @@ func testDenseForwardMatchesScalar(t *testing.T) {
 			for i := 0; i < in; i++ {
 				l.w[i] = -0.5 - math.Abs(l.w[i])
 			}
-			pack := make([]float64, in*nout)
-			for _, rows := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 511, 512} {
+			l.repack()
+			var pad padScratch
+			pad.fit(512, in, nout)
+			for _, rows := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 17, 511, 512} {
 				x := kernelInput(rows, in, int64(rows))
 				for _, relu := range []bool{false, true} {
 					l.relu = relu
 					z, want := NewMatrix(rows, nout), NewMatrix(rows, nout)
 					l.forward(x, z, want)
-					kernels := []struct {
-						name string
-						run  func(dst []float64)
-					}{
-						{"denseForward", func(dst []float64) {
-							denseForward(x.Data, rows, in, l.w, l.b, nout, relu, dst, pack)
-						}},
-						{"denseForwardBlocked", func(dst []float64) {
-							denseForwardBlocked(x.Data, rows, in, l.w, l.b, nout, 0, relu, dst)
-						}},
+					// One spare row past the end catches stray stores.
+					got := make([]float64, (rows+1)*nout)
+					for e := range got {
+						got[e] = unwritten
 					}
-					for _, k := range kernels {
-						// One spare row past the end catches stray stores.
-						got := make([]float64, (rows+1)*nout)
-						for e := range got {
-							got[e] = unwritten
+					denseForward(x.Data, rows, in, l.pw, l.pb, nout, relu, got[:rows*nout], &pad)
+					if e := sameBits(got, want.Data); e >= 0 {
+						if e >= rows*nout {
+							t.Fatalf("in=%d nout=%d rows=%d: stored past the end", in, nout, rows)
 						}
-						k.run(got[:rows*nout])
-						for e, w := range want.Data {
-							if math.Float64bits(got[e]) != math.Float64bits(w) {
-								t.Fatalf("%s in=%d nout=%d rows=%d relu=%v: (%d,%d) = %#x, scalar %#x",
-									k.name, in, nout, rows, relu, e/nout, e%nout, math.Float64bits(got[e]), math.Float64bits(w))
-							}
-						}
-						for e := rows * nout; e < len(got); e++ {
-							if math.Float64bits(got[e]) != math.Float64bits(unwritten) {
-								t.Fatalf("%s in=%d nout=%d rows=%d: stored past the end", k.name, in, nout, rows)
-							}
-						}
+						t.Fatalf("in=%d nout=%d rows=%d relu=%v: (%d,%d) = %#x, scalar %#x",
+							in, nout, rows, relu, e/nout, e%nout, math.Float64bits(got[e]), math.Float64bits(want.Data[e]))
 					}
 				}
 			}
@@ -304,16 +288,16 @@ func sameBits(got, want []float64) int {
 }
 
 // TestDenseBackwardMatchesScalar pins denseBackward by Float64bits
-// against the scalar oracle over shapes that reach every split gemm
-// makes (whole 4×8 blocks, a zero-padded block of 1–7 columns, rows
-// padded to a block of four), with and without ReLU, under both
-// dispatches. The oracle skips zero gradients and denseBackward adds
-// their terms, which must not change a bit for finite operands. The
-// non-finite subtest pins the one difference: an infinite input or
-// weight under a zero gradient gives NaN, and the AVX and portable
-// kernels agree on every bit.
+// against the scalar oracle over shapes that reach every split the
+// driver makes (whole row and column blocks, a zero-padded block of 1–7
+// columns, leftover rows padded to a row block), with and without
+// ReLU, on every kernel the host has. The oracle skips zero gradients
+// and denseBackward adds their terms, which must not change a bit for
+// finite operands. The non-finite subtest pins the one difference: an
+// infinite input or weight under a zero gradient gives NaN, and every
+// kernel agrees on every bit.
 func TestDenseBackwardMatchesScalar(t *testing.T) {
-	withKernelDispatch(t, testDenseBackwardMatchesScalar)
+	eachKernel(t, testDenseBackwardMatchesScalar)
 	t.Run("non-finite", testDenseBackwardNonFinite)
 }
 
@@ -358,32 +342,30 @@ func testDenseBackwardNonFinite(t *testing.T) {
 	c.dA.Set(r1, o1, 0)
 
 	want := c.scalar()
-	detected := useAVX
-	t.Cleanup(func() { useAVX = detected })
-	useAVX = detected
-	avx := c.blocked()
-	useAVX = false
-	portable := c.blocked()
-	for _, f := range []struct {
-		name          string
-		avx, portable []float64
-		scalar        []float64
-		nanAt         int
-	}{
-		{"gw", avx.gw, portable.gw, want.gw, o0*in + i0},
-		{"dX", avx.dX, portable.dX, want.dX, r1*in + i1},
-	} {
-		if e := sameBits(f.avx, f.portable); e >= 0 {
-			t.Fatalf("%s[%d]: AVX %#x, portable %#x", f.name, e, math.Float64bits(f.avx[e]), math.Float64bits(f.portable[e]))
+	var widest *backwardResult
+	eachKernel(t, func(t *testing.T) {
+		got := c.blocked()
+		if widest == nil {
+			widest = &got
 		}
-		if !math.IsNaN(f.avx[f.nanAt]) || math.IsNaN(f.scalar[f.nanAt]) {
-			t.Fatalf("%s[%d] = %v, scalar %v: want NaN from 0·∞ where the scalar loop skipped the zero gradient",
-				f.name, f.nanAt, f.avx[f.nanAt], f.scalar[f.nanAt])
+		for _, f := range []struct {
+			name              string
+			got, widest, want []float64
+			nanAt             int
+		}{
+			{"gw", got.gw, widest.gw, want.gw, o0*in + i0},
+			{"dX", got.dX, widest.dX, want.dX, r1*in + i1},
+			{"gb", got.gb, widest.gb, want.gb, -1},
+		} {
+			if e := sameBits(f.got, f.widest); e >= 0 {
+				t.Fatalf("%s[%d] = %#x, %s kernel %#x", f.name, e, math.Float64bits(f.got[e]), hostKernels[0].name, math.Float64bits(f.widest[e]))
+			}
+			if f.nanAt >= 0 && (!math.IsNaN(f.got[f.nanAt]) || math.IsNaN(f.want[f.nanAt])) {
+				t.Fatalf("%s[%d] = %v, scalar %v: want NaN from 0·∞ where the scalar loop skipped the zero gradient",
+					f.name, f.nanAt, f.got[f.nanAt], f.want[f.nanAt])
+			}
 		}
-	}
-	if e := sameBits(avx.gb, portable.gb); e >= 0 {
-		t.Fatalf("gb[%d]: AVX %#x, portable %#x", e, math.Float64bits(avx.gb[e]), math.Float64bits(portable.gb[e]))
-	}
+	})
 }
 
 // scalarShardGradient is shardGradient on the scalar forward and
@@ -419,11 +401,11 @@ func scalarShardGradient(n *Network, sx, sy *Matrix, s *trainScratch, batchTotal
 // TestTrainingMatchesScalarOracle trains the network the repo benchmark
 // pretrains (23→128,64,32,16,8→4) for three epochs at batch 100 with
 // one, two and three workers, once as production does and once on the
-// scalar oracles, under both dispatches. 1,050 rows leave a last batch
+// scalar oracles, on every kernel the host has. 1,050 rows leave a last batch
 // of 50, and three workers make uneven shards (34, 34, 32 and 17, 17,
 // 16 rows). Losses, weights and Save bytes must agree bit for bit.
 func TestTrainingMatchesScalarOracle(t *testing.T) {
-	withKernelDispatch(t, func(t *testing.T) {
+	eachKernel(t, func(t *testing.T) {
 		x, y := randomInput(1050, 23, 1), randomInput(1050, 4, 2)
 		for _, workers := range []int{1, 2, 3} {
 			cfg := Config{In: 23, Out: 4, Hidden: []int{128, 64, 32, 16, 8}, Seed: 7, BatchSize: 100, Workers: workers}

@@ -45,6 +45,13 @@ func TestBackpropMatchesFiniteDifferences(t *testing.T) {
 		return l
 	}
 
+	// set writes one parameter as the network's own mutations do,
+	// repacking the layer so the kernels read the new value.
+	set := func(l *dense, p []float64, i int, v float64) {
+		p[i] = v
+		l.repack()
+	}
+
 	const h = 1e-6
 	checked := 0
 	for li, l := range net.layers {
@@ -52,11 +59,11 @@ func TestBackpropMatchesFiniteDifferences(t *testing.T) {
 		// while covering all layers.
 		for wi := 0; wi < len(l.w); wi += 3 {
 			orig := l.w[wi]
-			l.w[wi] = orig + h
+			set(l, l.w, wi, orig+h)
 			up := loss()
-			l.w[wi] = orig - h
+			set(l, l.w, wi, orig-h)
 			down := loss()
-			l.w[wi] = orig
+			set(l, l.w, wi, orig)
 			numeric := (up - down) / (2 * h)
 			analytic := scratch.gw[li][wi]
 			if math.Abs(numeric-analytic) > 1e-4*(math.Abs(numeric)+math.Abs(analytic)+1e-4) {
@@ -66,11 +73,11 @@ func TestBackpropMatchesFiniteDifferences(t *testing.T) {
 		}
 		for bi := range l.b {
 			orig := l.b[bi]
-			l.b[bi] = orig + h
+			set(l, l.b, bi, orig+h)
 			up := loss()
-			l.b[bi] = orig - h
+			set(l, l.b, bi, orig-h)
 			down := loss()
-			l.b[bi] = orig
+			set(l, l.b, bi, orig)
 			numeric := (up - down) / (2 * h)
 			analytic := scratch.gb[li][bi]
 			if math.Abs(numeric-analytic) > 1e-4*(math.Abs(numeric)+math.Abs(analytic)+1e-4) {

@@ -3,21 +3,28 @@ package nn
 import "fmt"
 
 // This file is the fused batched-inference path: caller-owned buffers
-// around one dense-layer kernel, denseForward, so steady-state inference
-// over a stream of chunks performs zero heap allocations. Every dense
-// GEMM in the package runs through one kernel: the forward pass of
-// PredictInto, Predict, the quantized views and training through
-// denseForward, and both products of training's backward pass
+// around one dense-layer block driver, denseForward (dense.go), so
+// steady-state inference over a stream of chunks performs zero heap
+// allocations. Every dense GEMM in the package runs through that
+// driver: the forward pass of PredictInto, Predict, the quantized views
+// and training, and both products of training's backward pass
 // (denseBackward in layer.go), dW = dZᵀ·X and dX = dZ·W, through gemm.
-// On amd64 hosts with AVX, chosen at run time, it is a 256-bit
-// micro-kernel over 4-row × 8-output blocks (dense_amd64.s); on other
-// hosts and GOARCHes, and for the rows and outputs that do not fill a
-// forward block, it is denseForwardBlocked. Both are bit-identical to
-// a row-at-a-time scalar loop: every element's accumulator starts at
-// the bias (+0 for the backward products) and adds its products with
-// the reduction index ascending, each product and each sum rounded on
-// its own (no fused multiply-add), so blocking and vectorising change
-// only how fast the values are produced.
+// The driver runs on the widest kernel the CPU has, chosen once at
+// start-up from CPUID: on amd64, an AVX-512F micro-kernel over 8-row ×
+// 8-output blocks, else an AVX one over 4-row × 8-output blocks
+// (dense_amd64.s), else, as on every other GOARCH, the pure-Go
+// denseForwardBlocked. It pads a partial row block and a partial output
+// block with zeros through a temp, so every element of every shape
+// comes from that one kernel. A full-precision network keeps its
+// weights packed and padded in the kernels' layout, rebuilt whenever
+// they change; a quantized view expands its weights straight into that
+// layout in the buffers, once per layer per call. All kernels are
+// bit-identical to a row-at-a-time scalar loop: every element's
+// accumulator starts at the bias (+0 for the backward products) and
+// adds its products with the reduction index ascending, each product
+// and each sum rounded on its own (no fused multiply-add), so blocking,
+// padding and vectorising change only how fast the values are
+// produced.
 
 // Predictor is the fused inference contract shared by the
 // full-precision Network and its Quantized variants: size buffers once
@@ -40,10 +47,12 @@ type InferenceBuffers struct {
 	// directly, but its slot is still allocated so buffers built from a
 	// config serve any same-shaped network.
 	acts [][]float64
-	// w receives a quantized layer's expanded weights and pack the
-	// current layer's weights in the micro-kernel's interleaved layout;
-	// both are sized for the largest layer (in × out).
-	w, pack []float64
+	// pack receives a quantized layer's weights, expanded into the
+	// kernels' packed layout; it is sized for the largest layer. The
+	// full-precision network reads its own packed weights instead.
+	pack []float64
+	// padScratch holds the padded blocks of every layer.
+	padScratch
 }
 
 // MaxRows returns the batch capacity the buffers were sized for.
@@ -56,13 +65,12 @@ func newInferenceBuffers(widths []int, maxRows int) *InferenceBuffers {
 		maxRows = 1
 	}
 	b := &InferenceBuffers{maxRows: maxRows}
-	maxW := 0
 	for i := 1; i < len(widths); i++ {
-		b.acts = append(b.acts, make([]float64, maxRows*widths[i]))
-		maxW = max(maxW, widths[i-1]*widths[i])
+		in, out := widths[i-1], widths[i]
+		b.acts = append(b.acts, make([]float64, maxRows*out))
+		grow(&b.pack, in*((out+7)&^7))
+		b.padScratch.fit(maxRows, in, out)
 	}
-	b.w = make([]float64, maxW)
-	b.pack = make([]float64, maxW)
 	return b
 }
 
@@ -92,7 +100,7 @@ func (n *Network) PredictInto(x, out *Matrix, buf *InferenceBuffers) error {
 		if li < len(n.layers)-1 {
 			dst = buf.acts[li][:x.Rows*l.out]
 		}
-		denseForward(cur, x.Rows, l.in, l.w, l.b, l.out, l.relu, dst, buf.pack)
+		denseForward(cur, x.Rows, l.in, l.pw, l.pb, l.out, l.relu, dst, &buf.padScratch)
 		cur = dst
 	}
 	return nil
@@ -117,70 +125,10 @@ func checkPredictInto(cfg Config, x, out *Matrix, buf *InferenceBuffers) error {
 		if li < len(cfg.Hidden) {
 			width = cfg.Hidden[li]
 		}
-		if len(act) < x.Rows*width || len(buf.w) < in*width || len(buf.pack) < in*width {
+		if len(act) < x.Rows*width || len(buf.pack) < in*((width+7)&^7) || !buf.padScratch.fits(x.Rows, in, width) {
 			return fmt.Errorf("nn: inference buffers too small for layer %d (%d→%d) at %d rows", li, in, width, x.Rows)
 		}
 		in = width
 	}
 	return nil
-}
-
-// denseForwardBlocked is the portable affine+ReLU kernel for outputs
-// [o0, nout) of every row: x is (rows × in) row-major, dst is (rows ×
-// nout) row-major. Rows are processed four at a time so each weight row
-// streams from cache once per four samples (the layer weights are the
-// large operand; inputs are a handful of floats per row).
-func denseForwardBlocked(x []float64, rows, in int, w, b []float64, nout, o0 int, relu bool, dst []float64) {
-	r := 0
-	for ; r+4 <= rows; r += 4 {
-		x0 := x[(r+0)*in : (r+1)*in]
-		x1 := x[(r+1)*in : (r+2)*in]
-		x2 := x[(r+2)*in : (r+3)*in]
-		x3 := x[(r+3)*in : (r+4)*in]
-		d0 := dst[(r+0)*nout : (r+1)*nout]
-		d1 := dst[(r+1)*nout : (r+2)*nout]
-		d2 := dst[(r+2)*nout : (r+3)*nout]
-		d3 := dst[(r+3)*nout : (r+4)*nout]
-		for o := o0; o < nout; o++ {
-			wo := w[o*in : (o+1)*in]
-			bo := b[o]
-			s0, s1, s2, s3 := bo, bo, bo, bo
-			for i, wi := range wo {
-				s0 += wi * x0[i]
-				s1 += wi * x1[i]
-				s2 += wi * x2[i]
-				s3 += wi * x3[i]
-			}
-			if relu {
-				if s0 < 0 {
-					s0 = 0
-				}
-				if s1 < 0 {
-					s1 = 0
-				}
-				if s2 < 0 {
-					s2 = 0
-				}
-				if s3 < 0 {
-					s3 = 0
-				}
-			}
-			d0[o], d1[o], d2[o], d3[o] = s0, s1, s2, s3
-		}
-	}
-	for ; r < rows; r++ {
-		xr := x[r*in : (r+1)*in]
-		dr := dst[r*nout : (r+1)*nout]
-		for o := o0; o < nout; o++ {
-			wo := w[o*in : (o+1)*in]
-			s := b[o]
-			for i, wi := range wo {
-				s += wi * xr[i]
-			}
-			if relu && s < 0 {
-				s = 0
-			}
-			dr[o] = s
-		}
-	}
 }

@@ -1,7 +1,10 @@
 package nn
 
 import (
+	"bytes"
 	"math"
+	"slices"
+	"sync"
 	"testing"
 
 	"fillvoid/internal/mathutil"
@@ -28,27 +31,144 @@ func randomInput(rows, cols int, seed int64) *Matrix {
 // TestPredictIntoBitIdentical pins the fused-path contract end to end:
 // PredictInto, and Predict on top of it, reproduce the bits of the
 // scalar oracle chained through every layer, across batch sizes that
-// exercise every block remainder and Predict's tiling.
+// exercise every row-block remainder and Predict's tiling, on every
+// kernel the host has.
 func TestPredictIntoBitIdentical(t *testing.T) {
-	n := testNetwork(t)
-	buf := n.NewInferenceBuffers(1100)
-	for _, rows := range []int{1, 2, 3, 4, 5, 7, 8, 64, 257, 1100} {
-		x := randomInput(rows, 23, int64(rows))
-		want := scalarPredict(n, x)
-		out := NewMatrix(rows, 4)
-		if err := n.PredictInto(x, out, buf); err != nil {
+	eachKernel(t, func(t *testing.T) {
+		n := testNetwork(t)
+		buf := n.NewInferenceBuffers(1100)
+		for _, rows := range []int{1, 2, 3, 4, 5, 7, 8, 9, 15, 64, 257, 1100} {
+			x := randomInput(rows, 23, int64(rows))
+			want := scalarPredict(n, x)
+			out := NewMatrix(rows, 4)
+			if err := n.PredictInto(x, out, buf); err != nil {
+				t.Fatal(err)
+			}
+			pred, err := n.Predict(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, w := range want.Data {
+				if math.Float64bits(out.Data[i]) != math.Float64bits(w) || math.Float64bits(pred.Data[i]) != math.Float64bits(w) {
+					t.Fatalf("rows=%d element %d: PredictInto %x, Predict %x, scalar %x", rows, i, out.Data[i], pred.Data[i], w)
+				}
+			}
+		}
+	})
+}
+
+// checkPredictMatchesScalar fails t unless PredictInto on buf gives the
+// scalar oracle's bits for x.
+func checkPredictMatchesScalar(t *testing.T, n *Network, x *Matrix, buf *InferenceBuffers, when string) {
+	t.Helper()
+	want := scalarPredict(n, x)
+	out := NewMatrix(x.Rows, n.cfg.Out)
+	if err := n.PredictInto(x, out, buf); err != nil {
+		t.Fatal(err)
+	}
+	if e := sameBits(out.Data, want.Data); e >= 0 {
+		t.Fatalf("%s: element %d = %v, scalar %v: stale packed weights", when, e, out.Data[e], want.Data[e])
+	}
+}
+
+// TestPackedWeightsNeverStale pins the packed copy of the weights that
+// PredictInto and training read: on one network and one buffer set,
+// PredictInto must equal the scalar oracle, which reads the weights
+// themselves, after every kind of weight change, and so must a Clone
+// and a Resume of it, on every kernel the host has.
+// TestConcurrentPredictIntoAfterLoad covers Load.
+func TestPackedWeightsNeverStale(t *testing.T) {
+	eachKernel(t, func(t *testing.T) {
+		// The targets are the first four inputs, which training learns.
+		x, y := randomInput(300, 23, 1), NewMatrix(300, 4)
+		for r := 0; r < x.Rows; r++ {
+			copy(y.Row(r), x.Row(r))
+		}
+		n := testNetwork(t)
+		buf := n.NewInferenceBuffers(x.Rows)
+		checkPredictMatchesScalar(t, n, x, buf, "new network")
+
+		if _, err := n.TrainEpochs(x.SliceRows(0, 50), y.SliceRows(0, 50), 1); err != nil {
 			t.Fatal(err)
 		}
-		pred, err := n.Predict(x)
+		checkPredictMatchesScalar(t, n, x, buf, "after a training step")
+
+		// Validating against negated targets makes the validation loss
+		// rise as training fits, so the run restores an earlier epoch.
+		vy := y.Clone()
+		for i := range vy.Data {
+			vy.Data[i] = -vy.Data[i]
+		}
+		_, vl, err := n.TrainWithValidation(x, y, x, vy, 8, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, w := range want.Data {
-			if math.Float64bits(out.Data[i]) != math.Float64bits(w) || math.Float64bits(pred.Data[i]) != math.Float64bits(w) {
-				t.Fatalf("rows=%d element %d: PredictInto %x, Predict %x, scalar %x", rows, i, out.Data[i], pred.Data[i], w)
-			}
+		if best := slices.Index(vl, slices.Min(vl)); best == len(vl)-1 {
+			t.Fatalf("validation losses %v: the last epoch was best, so no weights were restored", vl)
 		}
+		checkPredictMatchesScalar(t, n, x, buf, "after the best-weight restore")
+
+		// Case 2: only the last two layers train.
+		n.FreezeAllButLast(2)
+		if _, err := n.TrainEpochs(x, y, 2); err != nil {
+			t.Fatal(err)
+		}
+		checkPredictMatchesScalar(t, n, x, buf, "after a Case 2 fine-tune")
+
+		// Copies start from the seed's initial weights and overwrite them.
+		c, err := n.Clone()
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkPredictMatchesScalar(t, c, x, buf, "Clone")
+		r, err := Resume(n.CaptureTrainState())
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkPredictMatchesScalar(t, r, x, buf, "Resume")
+	})
+}
+
+// TestConcurrentPredictIntoAfterLoad runs PredictInto from several
+// goroutines on a network fresh from Load, each with its own buffers,
+// as the fused reconstruction workers do; under -race it pins that
+// reading the packed weights needs no lock. The saved network is
+// trained first, so Load must repack: its weights differ from the ones
+// the same seed initializes.
+func TestConcurrentPredictIntoAfterLoad(t *testing.T) {
+	src := testNetwork(t)
+	if _, err := src.TrainEpochs(randomInput(64, 23, 1), randomInput(64, 4, 2), 1); err != nil {
+		t.Fatal(err)
 	}
+	var b bytes.Buffer
+	if err := src.Save(&b); err != nil {
+		t.Fatal(err)
+	}
+	n, err := Load(&b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := randomInput(77, 23, 3)
+	want := scalarPredict(n, x)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			buf, out := n.NewInferenceBuffers(x.Rows), NewMatrix(x.Rows, 4)
+			for i := 0; i < 10; i++ {
+				if err := n.PredictInto(x, out, buf); err != nil {
+					t.Error(err)
+					return
+				}
+				if e := sameBits(out.Data, want.Data); e >= 0 {
+					t.Errorf("element %d = %v, scalar %v", e, out.Data[e], want.Data[e])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestPredictIntoShapeErrors(t *testing.T) {
@@ -148,9 +268,11 @@ func TestQuantizedClose(t *testing.T) {
 // TestQuantizedBitIdenticalToExpanded pins the quantized path exactly:
 // Quantized.PredictInto must reproduce, by Float64bits, the scalar
 // oracle chained over a network holding the dequantized weights, at
-// batch sizes below, at and past one 4-row block.
+// batch sizes below, at and past one row block, on every kernel the
+// host has. The reference dequantizes each weight on its own, so a
+// weight that expand puts in the wrong packed slot fails the test.
 func TestQuantizedBitIdenticalToExpanded(t *testing.T) {
-	withKernelDispatch(t, func(t *testing.T) {
+	eachKernel(t, func(t *testing.T) {
 		n := testNetwork(t)
 		for _, mode := range []QuantMode{QuantF16, QuantInt8} {
 			q, err := n.Quantize(mode)
@@ -161,11 +283,18 @@ func TestQuantizedBitIdenticalToExpanded(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for li := range q.layers {
-				q.layers[li].expand(ref.layers[li].w)
+			for li, ql := range q.layers {
+				w := ref.layers[li].w
+				for e := range w {
+					if mode == QuantF16 {
+						w[e] = mathutil.F16Decode(ql.f16[e])
+					} else {
+						w[e] = ql.scale * float64(ql.q8[e])
+					}
+				}
 			}
 			buf := q.NewInferenceBuffers(257)
-			for _, rows := range []int{1, 5, 8, 257} {
+			for _, rows := range []int{1, 5, 8, 13, 257} {
 				x := randomInput(rows, 23, int64(rows))
 				want := scalarPredict(ref, x)
 				out := NewMatrix(rows, 4)
@@ -206,48 +335,41 @@ func TestQuantizeRejectsNone(t *testing.T) {
 
 // BenchmarkPredictInto streams 512-row tiles, the fused reconstruction
 // tile, through the test network and through the network the repo
-// benchmark pretrains (23→128,64,32,16,8→4), reporting ns/row and
-// GFLOP/s (two FLOPs per multiply-add). The portable case runs the
-// perfbench network with the AVX kernel switched off: the cost on a
-// host without AVX.
+// benchmark pretrains (23→128,64,32,16,8→4), on every kernel the host
+// has, reporting ns/row and GFLOP/s (two FLOPs per multiply-add).
 func BenchmarkPredictInto(b *testing.B) {
 	for _, bc := range []struct {
-		name     string
-		hidden   []int
-		portable bool
+		name   string
+		hidden []int
 	}{
-		{"test-net", []int{64, 32, 16}, false},
-		{"perfbench-net", []int{128, 64, 32, 16, 8}, false},
-		{"perfbench-net-portable", []int{128, 64, 32, 16, 8}, true},
+		{"test-net", []int{64, 32, 16}},
+		{"perfbench-net", []int{128, 64, 32, 16, 8}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			if bc.portable {
-				detected := useAVX
-				useAVX = false
-				defer func() { useAVX = detected }()
-			}
-			n, err := New(Config{In: 23, Out: 4, Hidden: bc.hidden, Seed: 5})
-			if err != nil {
-				b.Fatal(err)
-			}
-			const rows = 512
-			x := randomInput(rows, 23, 3)
-			out := NewMatrix(rows, 4)
-			buf := n.NewInferenceBuffers(rows)
-			macs := 0
-			for _, l := range n.layers {
-				macs += l.in * l.out
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := n.PredictInto(x, out, buf); err != nil {
+			eachKernel(b, func(b *testing.B) {
+				n, err := New(Config{In: 23, Out: 4, Hidden: bc.hidden, Seed: 5})
+				if err != nil {
 					b.Fatal(err)
 				}
-			}
-			nsRow := float64(b.Elapsed().Nanoseconds()) / float64(b.N*rows)
-			b.ReportMetric(nsRow, "ns/row")
-			b.ReportMetric(2*float64(macs)/nsRow, "GFLOP/s")
+				const rows = 512
+				x := randomInput(rows, 23, 3)
+				out := NewMatrix(rows, 4)
+				buf := n.NewInferenceBuffers(rows)
+				macs := 0
+				for _, l := range n.layers {
+					macs += l.in * l.out
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := n.PredictInto(x, out, buf); err != nil {
+						b.Fatal(err)
+					}
+				}
+				nsRow := float64(b.Elapsed().Nanoseconds()) / float64(b.N*rows)
+				b.ReportMetric(nsRow, "ns/row")
+				b.ReportMetric(2*float64(macs)/nsRow, "GFLOP/s")
+			})
 		})
 	}
 }

@@ -8,12 +8,24 @@ type dense struct {
 	in, out int
 	w       []float64
 	b       []float64
-	relu    bool // ReLU after affine; the final layer is linear
-	frozen  bool // skip the optimizer update (Case 2 fine-tuning)
+	// pw and pb are w and b as the kernels read them, in packWeights'
+	// layout and padded with zero outputs to a multiple of eight.
+	// repack rebuilds them; every change to w or b must call it.
+	pw, pb []float64
+	relu   bool // ReLU after affine; the final layer is linear
+	frozen bool // skip the optimizer update (Case 2 fine-tuning)
 }
 
 func newDense(in, out int, relu bool) *dense {
-	return &dense{in: in, out: out, w: make([]float64, in*out), b: make([]float64, out), relu: relu}
+	out8 := (out + 7) &^ 7
+	return &dense{in: in, out: out, w: make([]float64, in*out), b: make([]float64, out),
+		pw: make([]float64, in*out8), pb: make([]float64, out8), relu: relu}
+}
+
+// repack rebuilds the packed copy of the layer's weights and biases.
+func (l *dense) repack() {
+	packWeights(l.pw, l.w, l.in, l.out)
+	copy(l.pb, l.b)
 }
 
 // initHe applies He (Kaiming) initialization, the standard scheme for
@@ -113,38 +125,19 @@ func transpose(dst, src []float64, rows, cols int) {
 // gemmScratch is the workspace of denseBackward and gemm; fit sizes it.
 type gemmScratch struct {
 	dzT  []float64 // dZ transposed
-	pack []float64 // gemm's right operand in the kernel's layout
-	tmp  []float64 // kernel output padded to whole 4×8 blocks
-	xpad []float64 // leftover left-operand rows padded to four
-	zero []float64 // the kernel's bias: every product sums from +0
+	pack []float64 // gemm's right operand in the kernels' layout
+	zero []float64 // the kernels' bias: every product sums from +0
+	padScratch
 }
 
 // fit grows s to serve a layer of in inputs and out outputs at up to
-// rows rows, for denseBackward and for denseForward's pack.
+// rows rows, for denseBackward and for the forward pass's padding.
 func (s *gemmScratch) fit(rows, in, out int) {
 	in8 := (in + 7) &^ 7
-	grow := func(b *[]float64, n int) {
-		if len(*b) < n {
-			*b = make([]float64, n)
-		}
-	}
-	// Only a partial block of columns sends whole products through tmp;
-	// otherwise it holds just the padded leftover rows.
-	tmpRows := 4
-	if in8 != in {
-		tmpRows = max(rows, out, 4)
-	}
 	grow(&s.dzT, out*rows)
 	grow(&s.pack, max(rows, out)*in8)
-	grow(&s.tmp, tmpRows*in8)
-	grow(&s.xpad, 4*max(rows, out))
 	grow(&s.zero, in8)
-}
-
-// gemmBlocked is gemm on the portable kernel: denseForwardBlocked reads
-// its right operand output-major, so b is transposed into s.pack first.
-func gemmBlocked(x []float64, rows, k int, b []float64, n int, dst []float64, s *gemmScratch) {
-	bt := s.pack[:n*k]
-	transpose(bt, b, k, n)
-	denseForwardBlocked(x, rows, k, bt, s.zero[:n], n, 0, false, dst)
+	s.padScratch.fit(rows, in, out) // forward
+	s.padScratch.fit(out, rows, in) // dW = dZᵀ·X
+	s.padScratch.fit(rows, out, in) // dX = dZ·W
 }

@@ -120,7 +120,8 @@ type Network struct {
 	// restore) and Losses appends against concurrent Save/Clone
 	// snapshots. Gradient computation runs outside the lock; only the
 	// apply step takes it, so the cost per minibatch is one uncontended
-	// lock.
+	// lock. Every mutation repacks the layers it changed before it
+	// unlocks, so the kernels never read stale packed weights.
 	mu sync.Mutex
 	// obs, when set, receives one telemetry.EpochStat per training
 	// epoch (loss, learning rate, throughput, trainable params). It is
@@ -159,6 +160,7 @@ func New(cfg Config) (*Network, error) {
 		relu := i+2 < len(widths) // last layer is linear
 		l := newDense(widths[i], widths[i+1], relu)
 		l.initHe(rng)
+		l.repack()
 		n.layers = append(n.layers, l)
 		n.opts = append(n.opts, &adamPair{w: newAdam(len(l.w)), b: newAdam(len(l.b))})
 	}
@@ -630,6 +632,7 @@ func (n *Network) TrainWithValidationOpts(x, y, vx, vy *Matrix, epochs, patience
 		for i, l := range n.layers {
 			copy(l.w, bestW[i])
 			copy(l.b, bestB[i])
+			l.repack()
 		}
 		n.mu.Unlock()
 	}
@@ -641,8 +644,8 @@ func (n *Network) TrainWithValidationOpts(x, y, vx, vy *Matrix, epochs, patience
 type trainScratch struct {
 	as, dA [][]float64 // per layer: activations and their loss gradients
 	gw, gb [][]float64
-	// gemmScratch is the backward pass's workspace; its pack also holds
-	// denseForward's weights, and fit sizes it for both.
+	// gemmScratch is the backward pass's workspace; its padScratch also
+	// serves the forward pass, and fit sizes it for both.
 	gemmScratch
 }
 
@@ -705,6 +708,7 @@ func (n *Network) trainBatch(bx, by *Matrix, scratch []*trainScratch, gw, gb [][
 		}
 		n.opts[li].w.step(l.w, gw[li], adamCfg)
 		n.opts[li].b.step(l.b, gb[li], adamCfg)
+		l.repack()
 	}
 	n.mu.Unlock()
 	total := 0.0
@@ -724,7 +728,7 @@ func (n *Network) shardGradient(sx, sy *Matrix, s *trainScratch, batchTotal int)
 	cur := sx.Data
 	for li, l := range n.layers {
 		a := s.as[li][:rows*l.out]
-		denseForward(cur, rows, l.in, l.w, l.b, l.out, l.relu, a, s.pack)
+		denseForward(cur, rows, l.in, l.pw, l.pb, l.out, l.relu, a, &s.padScratch)
 		cur = a
 	}
 

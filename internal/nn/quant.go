@@ -8,13 +8,13 @@ import (
 )
 
 // Quantized inference: weights stored as IEEE 754 binary16 halves or as
-// int8 with one scale per layer, expanded layer by layer into an f64
-// scratch that the full-precision kernel then runs on. The dot products
-// themselves always run in float64 — quantization only compresses the
-// stored weights (4x for int8, 2x for f16) and trades a bounded amount
-// of accuracy, which the golden-SNR harness pins per mode. Biases stay
-// float64: they are O(width) per layer, too small to be worth
-// compressing.
+// int8 with one scale per layer, expanded layer by layer straight into
+// the kernels' packed f64 layout, which the full-precision kernel then
+// runs on. The dot products themselves always run in float64 —
+// quantization only compresses the stored weights (4x for int8, 2x for
+// f16) and trades a bounded amount of accuracy, which the golden-SNR
+// harness pins per mode. Biases stay float64: they are O(width) per
+// layer, too small to be worth compressing.
 
 // QuantMode selects the weight storage of a Quantized network.
 type QuantMode int
@@ -53,7 +53,8 @@ func ParseQuantMode(s string) (QuantMode, error) {
 }
 
 // quantDense is one layer with compressed weights. Exactly one of f16
-// or q8 is populated, matching the parent's mode.
+// or q8 is populated, matching the parent's mode. b is padded with
+// zeros to a multiple of eight outputs, as the kernels read it.
 type quantDense struct {
 	in, out int
 	relu    bool
@@ -85,7 +86,7 @@ func (n *Network) Quantize(mode QuantMode) (*Quantized, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	for _, l := range n.layers {
-		ql := quantDense{in: l.in, out: l.out, relu: l.relu, b: append([]float64(nil), l.b...)}
+		ql := quantDense{in: l.in, out: l.out, relu: l.relu, b: append([]float64(nil), l.pb...)}
 		switch mode {
 		case QuantF16:
 			ql.f16 = make([]uint16, len(l.w))
@@ -132,9 +133,10 @@ func (q *Quantized) NewInferenceBuffers(maxRows int) *InferenceBuffers {
 }
 
 // PredictInto runs the forward pass with on-the-fly weight expansion:
-// each layer's compressed weights are expanded into buf once per call
-// and then run on the full-precision kernel, so the expansion cost is
-// amortized over the batch. Zero heap allocations per call.
+// each layer's compressed weights are expanded into buf once per call,
+// straight into the kernels' packed layout, and then run on the
+// full-precision kernel, so the expansion cost is amortized over the
+// batch. Zero heap allocations per call.
 func (q *Quantized) PredictInto(x, out *Matrix, buf *InferenceBuffers) error {
 	if err := checkPredictInto(q.cfg, x, out, buf); err != nil {
 		return err
@@ -146,23 +148,29 @@ func (q *Quantized) PredictInto(x, out *Matrix, buf *InferenceBuffers) error {
 		if li < len(q.layers)-1 {
 			dst = buf.acts[li][:x.Rows*l.out]
 		}
-		w := l.expand(buf.w[:l.in*l.out])
-		denseForward(cur, x.Rows, l.in, w, l.b, l.out, l.relu, dst, buf.pack)
+		wp := buf.pack[:l.in*len(l.b)]
+		l.expand(wp)
+		denseForward(cur, x.Rows, l.in, wp, l.b, l.out, l.relu, dst, &buf.padScratch)
 		cur = dst
 	}
 	return nil
 }
 
-// expand writes the layer's weights as float64 into w and returns it.
-func (l *quantDense) expand(w []float64) []float64 {
-	if l.f16 != nil {
-		for i, h := range l.f16 {
-			w[i] = mathutil.F16Decode(h)
+// expand writes the layer's weights as float64 into pack, in
+// packWeights' layout with zero padding outputs.
+func (l *quantDense) expand(pack []float64) {
+	in := l.in
+	clearPad(pack, in, l.out)
+	for o := 0; o < l.out; o++ {
+		p := pack[(o&^7)*in+o%8:]
+		if l.f16 != nil {
+			for i, h := range l.f16[o*in : (o+1)*in] {
+				p[8*i] = mathutil.F16Decode(h)
+			}
+			continue
 		}
-		return w
+		for i, qv := range l.q8[o*in : (o+1)*in] {
+			p[8*i] = l.scale * float64(qv)
+		}
 	}
-	for i, qv := range l.q8 {
-		w[i] = l.scale * float64(qv)
-	}
-	return w
 }

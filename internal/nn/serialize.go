@@ -111,6 +111,7 @@ func Load(r io.Reader) (*Network, error) {
 		default:
 			d.err = fmt.Errorf("nn: layer %d has freeze flag %d, want 0 or 1", i, f)
 		}
+		l.repack()
 	}
 	if k := d.u64(); d.err == nil && k > 0 {
 		if k > uint64(len(d.b)/8) {
@@ -255,6 +256,7 @@ func Resume(ts *TrainState) (*Network, error) {
 		}
 		copy(l.w, ts.Weights[i])
 		copy(l.b, ts.Biases[i])
+		l.repack()
 		if i < len(ts.Frozen) {
 			l.frozen = ts.Frozen[i]
 		}
@@ -286,6 +288,7 @@ func (n *Network) Clone() (*Network, error) {
 	for i, l := range n.layers {
 		copy(out.layers[i].w, l.w)
 		copy(out.layers[i].b, l.b)
+		out.layers[i].repack()
 		out.layers[i].frozen = l.frozen
 	}
 	out.Losses = append([]float64(nil), n.Losses...)
