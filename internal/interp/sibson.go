@@ -33,6 +33,14 @@ import (
 // only rows it owns, so no synchronization is needed on the
 // accumulators, and each output node receives its contributions in
 // source-scan order regardless of tiling.
+//
+// The two forms compute |x - q|² with different float expressions
+// (index offsets times spacing, against world positions minus q), and
+// at the exact ties a regular grid produces they can round to opposite
+// sides of |x - n(x)|². So a query point that equals a grid node's
+// position (GridSpec.NodeOf) takes the scatter's arithmetic, scattered
+// into a one-node region, and answers bit for bit what the full grid
+// holds at that node; only off-grid points take the gather.
 type NaturalNeighbor struct {
 	// Workers bounds the scatter parallelism (<= 0 means all cores).
 	Workers int
@@ -85,8 +93,6 @@ func (r *NaturalNeighbor) ReconstructRegion(ctx context.Context, p *recon.Plan, 
 
 	// Scatter, decomposed by output z-plane tile. Accumulators are
 	// region-local; sources are the full grid.
-	w := region.I1 - region.I0
-	h := region.J1 - region.J0
 	nzr := region.K1 - region.K0
 	sums := make([]float64, region.Len())
 	counts := make([]int32, region.Len())
@@ -97,63 +103,83 @@ func (r *NaturalNeighbor) ReconstructRegion(ctx context.Context, p *recon.Plan, 
 	if workers > nzr {
 		workers = nzr
 	}
-	nxy := spec.NX * spec.NY
 	err := parallel.ForChunkedCtx(ctx, nzr, workers, func(zLo, zHi int) error {
-		// Absolute output planes this tile owns.
-		kLo, kHi := region.K0+zLo, region.K0+zHi
-		// Source voxels at plane sk can reach output planes within
-		// ceil(d / spacing.Z); scan the superset of source planes whose
-		// scatter balls intersect [kLo, kHi).
-		for sk := 0; sk < spec.NZ; sk++ {
-			base := sk * nxy
-			reach := int(planeMaxD[sk]/spec.Spacing.Z) + 1
-			if sk+reach < kLo || sk-reach >= kHi {
-				continue
-			}
-			for sj := 0; sj < spec.NY; sj++ {
-				for si := 0; si < spec.NX; si++ {
-					src := base + sj*spec.NX + si
-					d2 := nearestD2[src]
-					if d2 == 0 {
-						continue // sampled node: no stolen volume
-					}
-					val := c.Values[nearestIdx[src]]
-					scatterBall(spec, region, si, sj, sk, d2, val, kLo, kHi, w, h, sums, counts)
-				}
-			}
-		}
+		scatterSources(spec, region, region.K0+zLo, region.K0+zHi, c.Values, nearestIdx, nearestD2, planeMaxD, sums, counts)
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-
-	// Finalize. Nodes that coincide with a sample (d = 0) keep the exact
-	// sampled value — natural neighbor interpolation is exact at the
-	// samples; nodes nothing scattered to fall back to nearest.
 	return parallel.ForCtx(ctx, region.Len(), r.Workers, func(m int) error {
-		g := region.GridIndex(spec, m)
-		switch {
-		case nearestD2[g] == 0:
-			dst[m] = c.Values[nearestIdx[g]]
-		case counts[m] > 0:
-			dst[m] = sums[m] / float64(counts[m])
-		default:
-			dst[m] = c.Values[nearestIdx[g]]
-		}
+		dst[m] = settle(c.Values, nearestIdx, nearestD2, region.GridIndex(spec, m), sums[m], counts[m])
 		return nil
 	})
 }
 
+// scatterSources scatters every full-grid source voxel whose ball can
+// reach absolute output planes [kLo, kHi) into region's accumulators,
+// in source-scan order. No voxel of source plane sk reaches farther
+// than planeMaxD[sk], which bounds scatterBall's index window along
+// each axis; so only source planes, rows and columns within that reach
+// of [kLo, kHi) and the region's i/j box are scanned, and the sources
+// skipped would have scattered nothing into the region.
+func scatterSources(spec GridSpec, region recon.Region, kLo, kHi int, values []float64, nearestIdx []int32, nearestD2, planeMaxD, sums []float64, counts []int32) {
+	w := region.I1 - region.I0
+	h := region.J1 - region.J0
+	nxy := spec.NX * spec.NY
+	for sk := 0; sk < spec.NZ; sk++ {
+		base := sk * nxy
+		reach := int(planeMaxD[sk]/spec.Spacing.Z) + 1
+		if sk+reach < kLo || sk-reach >= kHi {
+			continue
+		}
+		rj := int(planeMaxD[sk]/spec.Spacing.Y) + 1
+		ri := int(planeMaxD[sk]/spec.Spacing.X) + 1
+		sjMax := minInt(region.J1-1+rj, spec.NY-1)
+		siMax := minInt(region.I1-1+ri, spec.NX-1)
+		for sj := maxInt(region.J0-rj, 0); sj <= sjMax; sj++ {
+			for si := maxInt(region.I0-ri, 0); si <= siMax; si++ {
+				src := base + sj*spec.NX + si
+				d2 := nearestD2[src]
+				if d2 == 0 {
+					continue // sampled node: no stolen volume
+				}
+				val := values[nearestIdx[src]]
+				scatterBall(spec, region, si, sj, sk, d2, val, kLo, kHi, w, h, sums, counts)
+			}
+		}
+	}
+}
+
+// settle turns grid node g's accumulated sum and count into its
+// estimate. Nodes that coincide with a sample (d = 0) keep the exact
+// sampled value — natural neighbor interpolation is exact at the
+// samples; nodes nothing scattered to fall back to nearest.
+func settle(values []float64, nearestIdx []int32, nearestD2 []float64, g int, sum float64, count int32) float64 {
+	if nearestD2[g] != 0 && count > 0 {
+		return sum / float64(count)
+	}
+	return values[nearestIdx[g]]
+}
+
 // gatherPoints answers arbitrary query points in the gather form of the
 // same discrete-Sibson estimate: accumulate the nearest-sample value of
-// every grid voxel x the query would steal (|x - q| < |x - n(x)|).
+// every grid voxel x the query would steal (|x - q| < |x - n(x)|). A
+// query that is exactly a grid node is instead scattered into a
+// one-node region, so it gets the full grid's answer bit for bit.
 func (r *NaturalNeighbor) gatherPoints(ctx context.Context, p *recon.Plan, pts []mathutil.Vec3, dst []float64, nearestIdx []int32, nearestD2 []float64, planeMaxD []float64) error {
 	c := p.Cloud()
 	spec := p.Spec()
 	tree := p.Tree()
 	return parallel.ForCtx(ctx, len(pts), r.Workers, func(m int) error {
 		q := pts[m]
+		if i, j, k, ok := spec.NodeOf(q); ok {
+			var sum [1]float64
+			var count [1]int32
+			scatterSources(spec, recon.Box(i, j, k, i+1, j+1, k+1), k, k+1, c.Values, nearestIdx, nearestD2, planeMaxD, sum[:], count[:])
+			dst[m] = settle(c.Values, nearestIdx, nearestD2, i+spec.NX*(j+spec.NY*k), sum[0], count[0])
+			return nil
+		}
 		bi, bd2 := tree.Nearest(q)
 		if bd2 == 0 {
 			dst[m] = c.Values[bi]

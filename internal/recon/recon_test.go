@@ -147,6 +147,68 @@ func TestPointListMatchesGridNodes(t *testing.T) {
 	}
 }
 
+// Every grid node, asked as a query point, must get the full grid's
+// value bit for bit, for every registered method and over many seeded
+// clouds. A regular grid produces exact distance ties, and whether one
+// cloud's ties land on a differently rounded decision is luck, so a
+// single cloud and a few nodes cannot show that two code paths agree.
+func TestPointListMatchesGridNodesManyClouds(t *testing.T) {
+	v := datasets.Volume(datasets.NewIsabel(2), 16, 16, 8, 8)
+	spec := recon.SpecOf(v)
+	pts := make([]mathutil.Vec3, v.Len())
+	for g := range pts {
+		pts[g] = v.PointAt(g)
+	}
+	methods := registryMethods(t)
+	clouds := 0
+	for _, sampler := range []string{"importance", "random"} {
+		for seed := int64(1); seed <= 4; seed++ {
+			for _, frac := range []float64{0.01, 0.04, 0.1} {
+				s, err := sampling.ByName(sampler, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cloud, _, err := s.Sample(v, "pressure", frac)
+				if err != nil {
+					t.Fatal(err)
+				}
+				plan, err := recon.NewPlan(cloud, spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				clouds++
+				for _, m := range methods {
+					full, err := recon.Reconstruct(context.Background(), m, plan, recon.Full(spec))
+					if err != nil {
+						t.Fatalf("%s full: %v", m.Name(), err)
+					}
+					vals, err := recon.ReconstructPoints(context.Background(), m, plan, pts)
+					if err != nil {
+						t.Fatalf("%s points: %v", m.Name(), err)
+					}
+					bad, first := 0, -1
+					for g, want := range full.Data {
+						if vals[g] != want {
+							if first < 0 {
+								first = g
+							}
+							bad++
+						}
+					}
+					if bad > 0 {
+						i, j, k := v.Coords(first)
+						t.Errorf("%s, %s seed %d at %g: %d of %d nodes differ; first (%d,%d,%d): point %v, grid %v",
+							m.Name(), sampler, seed, frac, bad, len(pts), i, j, k, vals[first], full.Data[first])
+					}
+				}
+			}
+		}
+	}
+	if clouds < 20 {
+		t.Fatalf("only %d clouds checked", clouds)
+	}
+}
+
 // The FCNN runs through the same engine: shared-plan, box, and
 // point-list queries all agree with its full-grid output exactly.
 func TestFCNNThroughEngine(t *testing.T) {

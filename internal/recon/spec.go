@@ -26,6 +26,7 @@ package recon
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"fillvoid/internal/grid"
 	"fillvoid/internal/mathutil"
@@ -59,6 +60,34 @@ func (s GridSpec) Point(i, j, k int) mathutil.Vec3 {
 		Y: s.Origin.Y + float64(j)*s.Spacing.Y,
 		Z: s.Origin.Z + float64(k)*s.Spacing.Z,
 	}
+}
+
+// NodeOf returns the grid index (i, j, k) whose Point equals p, and
+// false when p is no grid node: the inverse of Point, for callers that
+// must answer a query at a grid node with the grid's own arithmetic.
+func (s GridSpec) NodeOf(p mathutil.Vec3) (i, j, k int, ok bool) {
+	i, okX := axisNode(p.X, s.Origin.X, s.Spacing.X, s.NX)
+	j, okY := axisNode(p.Y, s.Origin.Y, s.Spacing.Y, s.NY)
+	k, okZ := axisNode(p.Z, s.Origin.Z, s.Spacing.Z, s.NZ)
+	if !okX || !okY || !okZ {
+		return 0, 0, 0, false
+	}
+	n := s.Point(i, j, k)
+	//lint:allow floateq: a grid node is exactly the position Point computes; a near miss is an off-grid query
+	return i, j, k, n.X == p.X && n.Y == p.Y && n.Z == p.Z
+}
+
+// axisNode rounds x to the nearest node index along one axis; NodeOf
+// then confirms the candidate exactly.
+func axisNode(x, origin, spacing float64, n int) (int, bool) {
+	if n == 1 {
+		return 0, true
+	}
+	f := math.Round((x - origin) / spacing)
+	if !(f >= 0 && f < float64(n)) {
+		return 0, false
+	}
+	return int(f), true
 }
 
 // Bounds returns the world-space bounding box of the grid, matching

@@ -285,8 +285,11 @@ func (s *Importance) Weights(v *grid.Volume) []float64 {
 }
 
 // WeightedTopK draws k indices without replacement with probability
-// proportional to w, deterministically for a seed. Keys are computed in
-// parallel; selection keeps the k largest keys with a min-heap.
+// proportional to w, deterministically for a seed. Every uniform u is
+// drawn from the one stream mathutil.NewRNG(seed) in index order, so
+// the same (w, k, seed) selects the same indices at any core count;
+// only the keys u^(1/w) are computed in parallel. Selection keeps the k
+// largest keys with a min-heap.
 func WeightedTopK(w []float64, k int, seed int64) []int {
 	n := len(w)
 	if k >= n {
@@ -297,22 +300,21 @@ func WeightedTopK(w []float64, k int, seed int64) []int {
 		return idxs
 	}
 	keys := make([]float64, n)
-	workers := parallel.DefaultWorkers()
-	chunk := (n + workers - 1) / workers
-	parallel.ForChunked(n, workers, func(start, end int) {
-		// Independent RNG stream per chunk keeps determinism under
-		// parallel execution.
-		rng := mathutil.NewRNG(seed + int64(start/chunk)*0x9e3779b9)
+	rng := mathutil.NewRNG(seed)
+	for i := range keys {
+		u := rng.Float64()
+		for u == 0 {
+			u = rng.Float64()
+		}
+		keys[i] = u
+	}
+	parallel.ForChunked(n, 0, func(start, end int) {
 		for i := start; i < end; i++ {
-			u := rng.Float64()
-			for u == 0 {
-				u = rng.Float64()
-			}
 			wi := w[i]
 			if wi <= 0 {
 				wi = 1e-12
 			}
-			keys[i] = math.Pow(u, 1/wi)
+			keys[i] = math.Pow(keys[i], 1/wi)
 		}
 	})
 	h := &minKeyHeap{}

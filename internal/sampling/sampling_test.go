@@ -2,6 +2,7 @@ package sampling
 
 import (
 	"math"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -261,5 +262,87 @@ func TestWeightedTopKAll(t *testing.T) {
 	idxs := WeightedTopK(w, 5, 0)
 	if len(idxs) != 3 {
 		t.Fatalf("got %d", len(idxs))
+	}
+}
+
+// withProcs runs fn with runtime.GOMAXPROCS set to procs and restores
+// the previous value afterwards.
+func withProcs(procs int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	fn()
+}
+
+// The sampled cloud must not depend on the host: the same seed selects
+// the same indices whatever the core count.
+func TestImportanceSampleSameAtAnyCoreCount(t *testing.T) {
+	v := testVolume()
+	s := &Importance{Seed: 3}
+	var one, four []int
+	var err1, err4 error
+	withProcs(1, func() { _, one, err1 = s.Sample(v, "f", 0.05) })
+	withProcs(4, func() { _, four, err4 = s.Sample(v, "f", 0.05) })
+	if err1 != nil || err4 != nil {
+		t.Fatal(err1, err4)
+	}
+	if len(one) != len(four) {
+		t.Fatalf("GOMAXPROCS 1 sampled %d points, 4 sampled %d", len(one), len(four))
+	}
+	for i := range one {
+		if one[i] != four[i] {
+			t.Fatalf("index %d: GOMAXPROCS 1 sampled %d, 4 sampled %d", i, one[i], four[i])
+		}
+	}
+}
+
+// oneStreamTopK is the Efraimidis–Spirakis draw written out serially:
+// every u from the one stream NewRNG(seed) in index order, key u^(1/w),
+// and the k largest keys. It fails the test when the k-th and (k+1)-th
+// keys tie, since the selected set would then not be unique.
+func oneStreamTopK(t *testing.T, w []float64, k int, seed int64) []int {
+	t.Helper()
+	rng := mathutil.NewRNG(seed)
+	order := make([]int, len(w))
+	keys := make([]float64, len(w))
+	for i, wi := range w {
+		u := rng.Float64()
+		for u == 0 {
+			u = rng.Float64()
+		}
+		if wi <= 0 {
+			wi = 1e-12
+		}
+		keys[i] = math.Pow(u, 1/wi)
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool { return keys[order[a]] > keys[order[b]] })
+	if keys[order[k-1]] == keys[order[k]] {
+		t.Fatalf("reference keys tie at the cut (k=%d)", k)
+	}
+	idxs := append([]int(nil), order[:k]...)
+	sort.Ints(idxs)
+	return idxs
+}
+
+// WeightedTopK must select exactly what the one-stream serial draw
+// selects, at one core and at four: the keys' parallel evaluation may
+// not change which uniforms feed which index, and a 1-core run keeps the
+// bits it always had.
+func TestWeightedTopKMatchesOneStreamDraw(t *testing.T) {
+	w := (&Importance{}).Weights(testVolume())
+	for _, k := range []int{1, 46, 230, 1000} {
+		want := oneStreamTopK(t, w, k, 42)
+		for _, procs := range []int{1, 4} {
+			var got []int
+			withProcs(procs, func() { got = WeightedTopK(w, k, 42) })
+			sort.Ints(got)
+			if len(got) != len(want) {
+				t.Fatalf("k=%d GOMAXPROCS=%d: got %d indices", k, procs, len(got))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("k=%d GOMAXPROCS=%d: index %d is %d, one-stream draw has %d", k, procs, i, got[i], want[i])
+				}
+			}
+		}
 	}
 }
