@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short race check lint bench experiments-smoke serve-smoke cluster-smoke train-smoke cover fuzz clean
+.PHONY: all build vet test test-short race check lint experiments-smoke serve-smoke cluster-smoke train-smoke cover fuzz clean
 
 all: build vet test
 
@@ -36,9 +36,6 @@ check: build vet lint race test-short
 # budget.
 lint:
 	$(GO) run ./cmd/fillvoid-lint -baseline lint.baseline.json -max-wall 30s
-
-bench:
-	$(GO) test -bench=. -benchmem ./... | tee bench_output.txt
 
 # Fast end-to-end sanity pass over every experiment.
 experiments-smoke:
@@ -114,4 +111,4 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzKNearest -fuzztime=$(FUZZTIME) ./internal/kdtree
 
 clean:
-	rm -f cover.out test_output.txt bench_output.txt fillvoid.smoke
+	rm -f cover.out test_output.txt fillvoid.smoke

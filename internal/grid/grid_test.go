@@ -2,6 +2,7 @@ package grid
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -220,4 +221,40 @@ func TestMaxAbsDiff(t *testing.T) {
 		}
 	}()
 	MaxAbsDiff(a, New(3, 2, 2))
+}
+
+// TestStatsSameAtAnyCoreCount requires Stats to give the same bits at
+// GOMAXPROCS 1 and 4 on a seeded 125×125×25 volume. Merging one partial
+// accumulator per worker gave a different mean and standard deviation
+// at each core count.
+func TestStatsSameAtAnyCoreCount(t *testing.T) {
+	v := New(125, 125, 25)
+	rng := mathutil.NewRNG(7)
+	for i := range v.Data {
+		v.Data[i] = 1000 + 50*rng.NormFloat64()
+	}
+	stats := func(procs int) *mathutil.RunningStats {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		return v.Stats()
+	}
+	one, four := stats(1), stats(4)
+	for _, f := range []struct {
+		name      string
+		one, four float64
+	}{
+		{"Mean", one.Mean(), four.Mean()},
+		{"StdDev", one.StdDev(), four.StdDev()},
+		{"Min", one.Min(), four.Min()},
+		{"Max", one.Max(), four.Max()},
+	} {
+		if math.Float64bits(f.one) != math.Float64bits(f.four) {
+			t.Errorf("%s: GOMAXPROCS 1 gives %v, 4 gives %v", f.name, f.one, f.four)
+		}
+	}
+	if one.N() != int64(v.Len()) || four.N() != int64(v.Len()) {
+		t.Errorf("N = %d and %d, want %d", one.N(), four.N(), v.Len())
+	}
+	if want := mathutil.StatsOf(v.Data); math.Abs(one.Mean()-want.Mean()) > 1e-9 || math.Abs(one.StdDev()-want.StdDev()) > 1e-9 {
+		t.Errorf("mean %v stddev %v, one pass gives %v and %v", one.Mean(), one.StdDev(), want.Mean(), want.StdDev())
+	}
 }

@@ -121,24 +121,24 @@ func (v *Volume) Fill(f func(i, j, k int, p mathutil.Vec3) float64) {
 	})
 }
 
-// Stats computes min/max/mean/stddev over the whole field in parallel.
+// statsBlock is the number of values each partial RunningStats of
+// Stats covers. It is fixed, not derived from the worker count, so the
+// merge tree, and with it every bit of the result, is the same on any
+// host.
+const statsBlock = 4096
+
+// Stats computes min/max/mean/stddev over the whole field in parallel:
+// fixed-size blocks are summarized concurrently and merged in index
+// order, so the result does not depend on GOMAXPROCS.
 func (v *Volume) Stats() *mathutil.RunningStats {
-	workers := parallel.DefaultWorkers()
-	accs := make([]*mathutil.RunningStats, workers)
 	n := len(v.Data)
-	chunk := (n + workers - 1) / workers
-	parallel.ForChunked(n, workers, func(start, end int) {
-		s := mathutil.NewRunningStats()
-		for i := start; i < end; i++ {
-			s.Add(v.Data[i])
-		}
-		accs[start/chunk] = s
+	blocks := make([]mathutil.RunningStats, (n+statsBlock-1)/statsBlock)
+	parallel.For(len(blocks), 0, func(b int) {
+		blocks[b] = *mathutil.StatsOf(v.Data[b*statsBlock : min((b+1)*statsBlock, n)])
 	})
 	total := mathutil.NewRunningStats()
-	for _, s := range accs {
-		if s != nil {
-			total.Merge(s)
-		}
+	for b := range blocks {
+		total.Merge(&blocks[b])
 	}
 	return total
 }

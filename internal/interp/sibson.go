@@ -34,6 +34,18 @@ import (
 // accumulators, and each output node receives its contributions in
 // source-scan order regardless of tiling.
 //
+// A source voxel s scatters into each grid row as one span of nodes,
+// si−n … si+n, added without a test per node. The scatter tests node
+// i of a row by dyz2 + (float64(i−si)·Δx)² < d2, with dyz2 the row's
+// (dz² + dy²) term. That test depends only on |i−si|, because IEEE
+// negation is exact, and it can only turn false as |i−si| grows,
+// because every rounding step it takes is monotone. So the nodes it
+// admits in a row are exactly those within some offset n of si, and
+// the span gives each node the same contributions, in the same order,
+// as testing node by node. The same argument makes the row test
+// dyz2 < d2 monotone in |j−sj|, so the row walk stops at the first row
+// that fails it.
+//
 // The two forms compute |x - q|² with different float expressions
 // (index offsets times spacing, against world positions minus q), and
 // at the exact ties a regular grid produces they can round to opposite
@@ -224,9 +236,17 @@ func (r *NaturalNeighbor) gatherPoints(ctx context.Context, p *recon.Plan, pts [
 // scatterBall adds val to every region output node whose squared
 // distance to the source node (si, sj, sk) is strictly below d2,
 // restricted to absolute output planes [kLo, kHi) and the region's i/j
-// box. The index bounds may be slightly generous (the sqrt is only used
-// for bounding); the inclusion test uses d2 exactly. w and h are the
-// region's x/y extents for region-local indexing.
+// box. The sqrt only sizes an index window around the source; the
+// inclusion test uses d2 exactly, with the squared offsets summed as
+// (dz² + dy²) + dx². w and h are the region's x/y extents for
+// region-local indexing.
+//
+// Each row's admitted nodes form one span, si−n … si+n (see
+// NaturalNeighbor), found without testing every node: the rows of a
+// plane are walked outward from sj, up and then down, and n carries
+// over from the row before, shrinking while the row's test fails at
+// offset n. A direction stops at its first row with dyz2 ≥ d2, which
+// admits nothing, as every row beyond it also admits nothing.
 func scatterBall(spec GridSpec, region recon.Region, si, sj, sk int, d2, val float64, kLo, kHi, w, h int, sums []float64, counts []int32) {
 	d := math.Sqrt(d2)
 	ri := int(d/spec.Spacing.X) + 1
@@ -234,29 +254,45 @@ func scatterBall(spec GridSpec, region recon.Region, si, sj, sk int, d2, val flo
 	rk := int(d/spec.Spacing.Z) + 1
 	kMin := maxInt(sk-rk, kLo)
 	kMax := minInt(sk+rk, kHi-1)
+	jMin := maxInt(sj-rj, region.J0)
+	jMax := minInt(sj+rj, region.J1-1)
 	for k := kMin; k <= kMax; k++ {
 		dz := float64(k-sk) * spec.Spacing.Z
 		dz2 := dz * dz
 		if dz2 >= d2 {
 			continue
 		}
-		jMin := maxInt(sj-rj, region.J0)
-		jMax := minInt(sj+rj, region.J1-1)
-		for j := jMin; j <= jMax; j++ {
-			dy := float64(j-sj) * spec.Spacing.Y
-			dyz2 := dz2 + dy*dy
-			if dyz2 >= d2 {
-				continue
+		plane := w * h * (k - region.K0)
+		// Up from sj, then down from sj−1.
+		for _, step := range [2]int{1, -1} {
+			j := maxInt(sj, jMin)
+			if step < 0 {
+				j = minInt(sj-1, jMax)
 			}
-			iMin := maxInt(si-ri, region.I0)
-			iMax := minInt(si+ri, region.I1-1)
-			row := w * ((j - region.J0) + h*(k-region.K0))
-			for i := iMin; i <= iMax; i++ {
-				dx := float64(i-si) * spec.Spacing.X
-				if dyz2+dx*dx < d2 {
-					m := row + (i - region.I0)
-					sums[m] += val
-					counts[m]++
+			for n := ri; jMin <= j && j <= jMax; j += step {
+				dy := float64(j-sj) * spec.Spacing.Y
+				dyz2 := dz2 + dy*dy
+				if dyz2 >= d2 {
+					break
+				}
+				for n > 0 {
+					dx := float64(n) * spec.Spacing.X
+					if dyz2+dx*dx < d2 {
+						break
+					}
+					n--
+				}
+				lo := maxInt(si-n, region.I0)
+				hi := minInt(si+n, region.I1-1)
+				if lo > hi {
+					continue
+				}
+				m := plane + w*(j-region.J0) - region.I0
+				s := sums[m+lo : m+hi+1]
+				c := counts[m+lo : m+hi+1][:len(s)]
+				for x := range s {
+					s[x] += val
+					c[x]++
 				}
 			}
 		}

@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"fillvoid/internal/kdtree"
 	"fillvoid/internal/mathutil"
 	"fillvoid/internal/pointcloud"
+	"fillvoid/internal/recon"
 	"fillvoid/internal/sampling"
 )
 
@@ -89,6 +91,138 @@ func TestDiscreteSibsonMatchesBruteForceAcrossWorkerCounts(t *testing.T) {
 		}
 		if d := grid.MaxAbsDiff(ref, got); d != 0 {
 			t.Fatalf("workers=%d deviates by %g", workers, d)
+		}
+	}
+}
+
+// scatterBallPerVoxel is scatterBall as a per-voxel test: every node of
+// the index window is tested against d2 on its own. It is the oracle
+// for the row spans.
+func scatterBallPerVoxel(spec GridSpec, region recon.Region, si, sj, sk int, d2, val float64, kLo, kHi, w, h int, sums []float64, counts []int32) {
+	d := math.Sqrt(d2)
+	ri := int(d/spec.Spacing.X) + 1
+	rj := int(d/spec.Spacing.Y) + 1
+	rk := int(d/spec.Spacing.Z) + 1
+	for k := maxInt(sk-rk, kLo); k <= minInt(sk+rk, kHi-1); k++ {
+		dz := float64(k-sk) * spec.Spacing.Z
+		dz2 := dz * dz
+		if dz2 >= d2 {
+			continue
+		}
+		for j := maxInt(sj-rj, region.J0); j <= minInt(sj+rj, region.J1-1); j++ {
+			dy := float64(j-sj) * spec.Spacing.Y
+			dyz2 := dz2 + dy*dy
+			if dyz2 >= d2 {
+				continue
+			}
+			row := w * ((j - region.J0) + h*(k-region.K0))
+			for i := maxInt(si-ri, region.I0); i <= minInt(si+ri, region.I1-1); i++ {
+				dx := float64(i-si) * spec.Spacing.X
+				if dyz2+dx*dx < d2 {
+					m := row + (i - region.I0)
+					sums[m] += val
+					counts[m]++
+				}
+			}
+		}
+	}
+}
+
+// TestScatterBallSpansMatchPerVoxel scatters every source voxel of
+// seeded clouds through scatterBall and through the per-voxel oracle,
+// into the full grid, boxes and one-node regions, and requires equal
+// sums and counts bit for bit. The clouds are on the anisotropic
+// 62×62×12 unit-cube grid (spacings 1/61 and 1/11, which round) and on
+// a dyadic 20×12×9 grid, sampled at grid nodes (exact distance ties)
+// and drawn off the grid, at 0.5 to 5 %.
+func TestScatterBallSpansMatchPerVoxel(t *testing.T) {
+	type setup struct {
+		name  string
+		cloud *pointcloud.Cloud
+		spec  GridSpec
+	}
+	var setups []setup
+	for _, g := range []struct {
+		name       string
+		nx, ny, nz int
+		spacing    mathutil.Vec3
+		fracs      []float64
+		seeds      int
+	}{
+		{"unit-cube-62x62x12", 62, 62, 12, mathutil.Vec3{X: 1.0 / 61, Y: 1.0 / 61, Z: 1.0 / 11}, []float64{0.005, 0.01, 0.05}, 2},
+		{"dyadic-20x12x9", 20, 12, 9, mathutil.Vec3{X: 0.5, Y: 0.25, Z: 1}, []float64{0.01, 0.05}, 1},
+	} {
+		v := grid.NewWithGeometry(g.nx, g.ny, g.nz, mathutil.Vec3{}, g.spacing)
+		v.Fill(func(_, _, _ int, p mathutil.Vec3) float64 {
+			return math.Sin(7*p.X)*math.Cos(5*p.Y) + p.Z*p.Z
+		})
+		spec := SpecOf(v)
+		for seed := int64(1); seed <= int64(g.seeds); seed++ {
+			for _, frac := range g.fracs {
+				imp, _, err := (&sampling.Importance{Seed: seed}).Sample(v, "f", frac)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rnd, _, err := (&sampling.Random{Seed: seed}).Sample(v, "f", frac)
+				if err != nil {
+					t.Fatal(err)
+				}
+				off := pointcloud.New("f", imp.Len())
+				rng := mathutil.NewRNG(seed)
+				for range imp.Points {
+					p := mathutil.Vec3{
+						X: rng.Float64() * float64(g.nx-1) * g.spacing.X,
+						Y: rng.Float64() * float64(g.ny-1) * g.spacing.Y,
+						Z: rng.Float64() * float64(g.nz-1) * g.spacing.Z,
+					}
+					off.Add(p, p.X-p.Y)
+				}
+				for _, c := range []setup{{"importance", imp, spec}, {"random", rnd, spec}, {"off-grid", off, spec}} {
+					c.name = fmt.Sprintf("%s/%s/seed%d/%g%%", g.name, c.name, seed, 100*frac)
+					setups = append(setups, c)
+				}
+			}
+		}
+	}
+	if len(setups) < 20 {
+		t.Fatalf("only %d clouds", len(setups))
+	}
+	for _, s := range setups {
+		p, err := recon.NewPlan(s.cloud, s.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := s.spec
+		nearestIdx, nearestD2 := p.NearestTable(1)
+		regions := []recon.Region{
+			recon.Full(spec),
+			recon.Box(3, 2, 1, spec.NX-4, spec.NY/2, spec.NZ-1),
+			recon.Box(0, spec.NY/3, spec.NZ/2, spec.NX/2, spec.NY, spec.NZ),
+			recon.Box(spec.NX-1, 0, 0, spec.NX, spec.NY, 1),
+			recon.Box(5, 7, 2, 6, 8, 3),
+			recon.Box(0, 0, 0, 1, 1, 1),
+			recon.Box(spec.NX-1, spec.NY-1, spec.NZ-1, spec.NX, spec.NY, spec.NZ),
+		}
+		for _, region := range regions {
+			w, h := region.I1-region.I0, region.J1-region.J0
+			gotS, wantS := make([]float64, region.Len()), make([]float64, region.Len())
+			gotC, wantC := make([]int32, region.Len()), make([]int32, region.Len())
+			for src, d2 := range nearestD2 {
+				if d2 == 0 {
+					continue
+				}
+				si, sj, sk := src%spec.NX, src/spec.NX%spec.NY, src/(spec.NX*spec.NY)
+				val := s.cloud.Values[nearestIdx[src]]
+				scatterBall(spec, region, si, sj, sk, d2, val, region.K0, region.K1, w, h, gotS, gotC)
+				scatterBallPerVoxel(spec, region, si, sj, sk, d2, val, region.K0, region.K1, w, h, wantS, wantC)
+			}
+			for m := range wantS {
+				if gotC[m] != wantC[m] || math.Float64bits(gotS[m]) != math.Float64bits(wantS[m]) {
+					i, j, k := region.Coords(m)
+					t.Fatalf("%s region %+v node (%d,%d,%d): spans give sum %v count %d, per-voxel test sum %v count %d",
+						s.name, region, i, j, k, gotS[m], gotC[m], wantS[m], wantC[m])
+				}
+			}
 		}
 	}
 }

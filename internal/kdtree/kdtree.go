@@ -13,13 +13,15 @@
 // Dist2, then ascending Index, with distances computed like
 // mathutil.Vec3.Dist2 — so they equal an exhaustive search sorted the
 // same way, index for index and bit for bit, whatever the batching,
-// warm start or worker count. Nearest and NearestBulk are not: among
-// points at exactly the same distance they keep the first one the
-// descent visits, which the baselines' pinned outputs rely on.
+// warm start, worker count or leaf kernel (see leafKernel). Nearest
+// and NearestBulk are not: among points at exactly the same distance
+// they keep the first one the descent visits, which the baselines'
+// pinned outputs rely on.
 package kdtree
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 
 	"fillvoid/internal/mathutil"
@@ -248,8 +250,9 @@ func (t *Tree) KNearestInto(q mathutil.Vec3, k int, buf []Neighbor) []Neighbor {
 	if k <= 0 || len(t.points) == 0 {
 		return buf[:0]
 	}
+	var s scratch
 	b := best{items: buf[:0], k: k, bound: inf()}
-	t.search(q, &b)
+	t.search(q, &b, &s)
 	return b.items
 }
 
@@ -287,6 +290,7 @@ func (t *Tree) KNearestBatchInto(queries []mathutil.Vec3, k, workers int, out []
 }
 
 func (t *Tree) knnBatchRange(queries []mathutil.Vec3, k int, out []Neighbor, lo, hi int) {
+	var s scratch
 	var prev []Neighbor
 	for i := lo; i < hi; i++ {
 		q := queries[i]
@@ -306,7 +310,7 @@ func (t *Tree) knnBatchRange(queries []mathutil.Vec3, k int, out []Neighbor, lo,
 		// Three-index slice: the list grows inside exactly the
 		// [i*k, (i+1)*k) window of out, never beyond it.
 		b := best{items: out[i*k : i*k : (i+1)*k], k: k, bound: bound}
-		t.search(q, &b)
+		t.search(q, &b, &s)
 		for j := len(b.items); j < k; j++ {
 			out[i*k+j] = Neighbor{Index: -1, Dist2: inf()}
 		}
@@ -314,31 +318,47 @@ func (t *Tree) knnBatchRange(queries []mathutil.Vec3, k int, out []Neighbor, lo,
 	}
 }
 
-// leafSize is the largest index range search scans point by point
-// instead of splitting at its median: below it, choosing and stacking
-// children costs more than the distances it would skip.
-const leafSize = 16
+// cell is a subtree search still has to visit: the index range
+// [lo, hi) of the Build layout, with q's squared distance to the
+// subtree's cell and that distance's per-axis terms.
+type cell struct {
+	lo, hi int
+	d2     float64
+	sq     [3]float64
+}
+
+// scratch is the state one search needs besides its neighbour list,
+// kept by the caller so that a batch reuses it across its queries
+// instead of zeroing it per query. Every stacked cell is deeper than
+// the one below it, and an int32-indexed tree has at most 27 levels of
+// splits above its leaf ranges, so stack never overflows.
+type scratch struct {
+	stack [32]cell
+	d2    [maxLeaf]float64
+}
 
 // search collects into b the indexed points nearest to q. It walks the
 // Build layout iteratively: the index range [lo, hi) holds one subtree
 // whose median, at (lo+hi)/2, splits the rest on axis[mid], and ranges
-// of at most leafSize points are scanned linearly. A subtree is skipped
-// only when q's squared distance to its cell is strictly greater than
-// b.bound. That distance sums per-axis terms in the same order as a
-// point distance, and each term squares the rounded gap from q to a
-// split plane every point of the cell lies beyond, so it never exceeds
-// the computed distance of a point in the cell: no point that could
-// enter the list, ties with the k-th included, is ever skipped.
-func (t *Tree) search(q mathutil.Vec3, b *best) {
-	// cell is a subtree still to visit. Every stacked cell is deeper
-	// than the one below it, and an int32-indexed tree has at most 27
-	// levels of splits above its leaf ranges.
-	type cell struct {
-		lo, hi int
-		d2     float64    // squared distance from q to the cell
-		sq     [3]float64 // its per-axis terms
+// of at most leaf.size points are scanned by the leaf kernel. A subtree
+// is skipped only when q's squared distance to its cell is strictly
+// greater than b.bound. That distance sums per-axis terms in the same
+// order as a point distance, and each term squares the rounded gap from
+// q to a split plane every point of the cell lies beyond, so it never
+// exceeds the computed distance of a point in the cell: no point that
+// could enter the list, ties with the k-th included, is ever skipped.
+//
+// The kernel masks a leaf's points against the bound at the start of
+// the scan. The bound only tightens while the leaf's points are
+// offered, so a point outside the mask would fail the live bound too;
+// offering the masked points in index order, each rechecked against the
+// live bound, makes exactly the offers a point-by-point scan makes.
+func (t *Tree) search(q mathutil.Vec3, b *best, s *scratch) {
+	if len(t.idx) == 0 {
+		return
 	}
-	var stack [32]cell
+	kern := leaf
+	stack := &s.stack
 	stack[0] = cell{hi: len(t.idx)}
 	for n := 1; n > 0; {
 		n--
@@ -347,7 +367,7 @@ func (t *Tree) search(q mathutil.Vec3, b *best) {
 			continue
 		}
 		lo, hi := c.lo, c.hi
-		for hi-lo > leafSize {
+		for hi-lo > kern.size {
 			mid := (lo + hi) / 2
 			dx := t.px[mid] - q.X
 			dy := t.py[mid] - q.Y
@@ -383,15 +403,13 @@ func (t *Tree) search(q mathutil.Vec3, b *best) {
 				n++
 			}
 		}
-		xs := t.px[lo:hi]
-		ys := t.py[lo:hi][:len(xs)]
-		zs := t.pz[lo:hi][:len(xs)]
-		ids := t.idx[lo:hi][:len(xs)]
-		for i, x := range xs {
-			dx := x - q.X
-			dy := ys[i] - q.Y
-			dz := zs[i] - q.Z
-			if d2 := dx*dx + dy*dy + dz*dz; !(d2 > b.bound) {
+		// The root holds a point, and splitting a range of more than
+		// kern.size >= 2 points leaves both halves non-empty, so every
+		// leaf range holds one too.
+		ids := t.idx[lo:hi]
+		for m := kern.scan(t.px[lo:hi], t.py[lo:hi], t.pz[lo:hi], q, b.bound, &s.d2); m != 0; m &= m - 1 {
+			i := bits.TrailingZeros64(m)
+			if d2 := s.d2[i]; !(d2 > b.bound) {
 				b.offer(int(ids[i]), d2)
 			}
 		}

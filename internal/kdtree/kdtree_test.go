@@ -83,6 +83,12 @@ func TestNearestEmptyTree(t *testing.T) {
 	if res := tree.KNearest(mathutil.Vec3{}, 3); len(res) != 0 {
 		t.Fatalf("got %d results", len(res))
 	}
+	out := tree.KNearestBatchInto([]mathutil.Vec3{{}, {X: 1}}, 3, 1, make([]Neighbor, 6))
+	for _, nb := range out {
+		if nb.Index != -1 || !math.IsInf(nb.Dist2, 1) {
+			t.Fatalf("empty tree batch = %v", out)
+		}
+	}
 }
 
 func TestKNearestZeroK(t *testing.T) {

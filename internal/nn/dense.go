@@ -26,6 +26,16 @@ var portable = kernel{name: "portable", rows: 4, run: denseForwardBlocked}
 // to cover the others.
 var kern = hostKernels[0]
 
+// HostKernels names the dense kernels this CPU runs, widest first;
+// every GEMM runs on the first.
+func HostKernels() []string {
+	names := make([]string, len(hostKernels))
+	for i, k := range hostKernels {
+		names[i] = k.name
+	}
+	return names
+}
+
 // denseForward is the block driver every dense GEMM runs through. It
 // computes dst = act(x·Wᵀ + b) on kern, with x (rows × in) and dst
 // (rows × nout) row-major, and wp and b the weights and biases of

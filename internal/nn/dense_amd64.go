@@ -1,5 +1,7 @@
 package nn
 
+import "fillvoid/internal/mathutil"
+
 // gemm8x8 and gemm4x8 are the assembly kernels in dense_amd64.s, with
 // the kernel contract (see kernel) over pointers: gemm8x8 is AVX-512F,
 // rows a multiple of 8, one ZMM accumulator per row of an 8-row ×
@@ -15,23 +17,15 @@ func gemm8x8(x *float64, rows, in int, wp, b *float64, nout, ldd int, dst *float
 //go:noescape
 func gemm4x8(x *float64, rows, in int, wp, b *float64, nout, ldd int, dst *float64, relu bool)
 
-// cpuHasAVX reports whether the CPU has AVX and the OS saves the YMM
-// registers across context switches.
-func cpuHasAVX() bool
-
-// cpuHasAVX512 reports whether the CPU has AVX-512F and the OS saves
-// the opmask and all 32 ZMM registers across context switches.
-func cpuHasAVX512() bool
-
 // hostKernels lists the kernels this CPU runs, widest first.
 var hostKernels = detectKernels()
 
 func detectKernels() []kernel {
 	var ks []kernel
-	if cpuHasAVX512() {
+	if mathutil.HasAVX512() {
 		ks = append(ks, kernel{name: "avx512", rows: 8, run: runGemm8x8})
 	}
-	if cpuHasAVX() {
+	if mathutil.HasAVX() {
 		ks = append(ks, kernel{name: "avx", rows: 4, run: runGemm4x8})
 	}
 	return append(ks, portable)
