@@ -109,6 +109,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzF16RoundTrip -fuzztime=$(FUZZTIME) ./internal/mathutil
 	$(GO) test -run='^$$' -fuzz=FuzzLoadModel -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzKNearest -fuzztime=$(FUZZTIME) ./internal/kdtree
+	$(GO) test -run='^$$' -fuzz=FuzzNearestTable -fuzztime=$(FUZZTIME) ./internal/recon
 
 clean:
 	rm -f cover.out test_output.txt fillvoid.smoke

@@ -32,6 +32,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"fillvoid/internal/features"
@@ -78,10 +79,13 @@ type Options struct {
 	// uniform (the paper's Table II protocol) or gradient-weighted (the
 	// paper's "intelligent training set creation" future work).
 	RowSelection RowSelection
-	// ReconBatch bounds how many void locations are featurized and
-	// predicted at once during reconstruction (default 1<<18). At the
-	// paper's ionization resolution the void set is ~37M points, whose
-	// full feature matrix would need ~7 GB; batching keeps memory flat.
+	// ReconBatch bounds how many locations reconstruction runs between
+	// two context checks (default 1<<18). Reconstruction runs on the
+	// plan's neighbour pass, which checks the context once per tile of
+	// recon.NeighborTile (512) locations per worker and keeps memory
+	// flat at any grid size, so it meets every bound of at least 512.
+	// The field stays because the model header, and with it every
+	// model id, includes it.
 	ReconBatch int
 	// ValidationFraction, when > 0, holds out that fraction of the
 	// training rows for per-epoch validation with early stopping
@@ -406,26 +410,20 @@ func (r *FCNN) Reconstruct(c *pointcloud.Cloud, spec recon.GridSpec) (*grid.Volu
 	return recon.ReconstructCloud(context.Background(), r, c, spec)
 }
 
-// fusedTile is the micro-batch size of the fused inference path: each
-// worker featurizes and predicts fusedTile void locations at a time, so
-// the feature block (fusedTile × 23 floats) and every activation block
-// stay cache-resident while the layer weights stream over them.
-const fusedTile = 512
-
 // fusedScratch is one worker's reusable state for the fused path: the
-// feature block, the prediction block, the per-layer activation
-// buffers, and the query/neighbor scratch, which holds K neighbours for
-// every query of a tile so BuildBatch searches the tile as one
-// warm-started batch. It records the shape it was built for (input and
-// output width, K and hidden widths) and serves only predictors of that
-// shape.
+// feature block of one neighbour-pass tile's void rows, the prediction
+// block, the per-layer activation buffers, and the region ordinal of
+// each void row. It holds recon.NeighborTile rows, so the feature block
+// (rows × 23 floats) and every activation block stay cache-resident
+// while the layer weights stream over them. It records the shape it was
+// built for (input and output width and hidden widths) and serves only
+// predictors of that shape.
 type fusedScratch struct {
-	inW, outW, k int
-	hidden       []int
-	x, out       *nn.Matrix
-	buf          *nn.InferenceBuffers
-	queries      []mathutil.Vec3
-	nbBuf        []kdtree.Neighbor
+	inW, outW int
+	hidden    []int
+	x, out    *nn.Matrix
+	buf       *nn.InferenceBuffers
+	rows      []int
 }
 
 // scratchPool recycles fusedScratch sets across ReconstructRegion
@@ -441,11 +439,11 @@ var scratchPool struct {
 
 // getFusedScratch returns the most recently pooled scratch set built
 // for this shape, or a new one.
-func getFusedScratch(pred nn.Predictor, inW, outW, k int) *fusedScratch {
+func getFusedScratch(pred nn.Predictor, inW, outW int) *fusedScratch {
 	hidden := pred.Config().Hidden
 	scratchPool.mu.Lock()
 	for i := len(scratchPool.free) - 1; i >= 0; i-- {
-		if s := scratchPool.free[i]; s.inW == inW && s.outW == outW && s.k == k && slices.Equal(s.hidden, hidden) {
+		if s := scratchPool.free[i]; s.inW == inW && s.outW == outW && slices.Equal(s.hidden, hidden) {
 			scratchPool.free = slices.Delete(scratchPool.free, i, i+1)
 			scratchPool.mu.Unlock()
 			return s
@@ -453,15 +451,13 @@ func getFusedScratch(pred nn.Predictor, inW, outW, k int) *fusedScratch {
 	}
 	scratchPool.mu.Unlock()
 	return &fusedScratch{
-		inW:     inW,
-		outW:    outW,
-		k:       k,
-		hidden:  slices.Clone(hidden),
-		x:       nn.NewMatrix(fusedTile, inW),
-		out:     nn.NewMatrix(fusedTile, outW),
-		buf:     pred.NewInferenceBuffers(fusedTile),
-		queries: make([]mathutil.Vec3, 0, fusedTile),
-		nbBuf:   make([]kdtree.Neighbor, 0, fusedTile*k),
+		inW:    inW,
+		outW:   outW,
+		hidden: slices.Clone(hidden),
+		x:      nn.NewMatrix(recon.NeighborTile, inW),
+		out:    nn.NewMatrix(recon.NeighborTile, outW),
+		buf:    pred.NewInferenceBuffers(recon.NeighborTile),
+		rows:   make([]int, recon.NeighborTile),
 	}
 }
 
@@ -482,22 +478,28 @@ func putFusedScratch(sets []*fusedScratch) {
 	}
 }
 
-// ReconstructRegion implements recon.Reconstructor. Region queries
-// coinciding with samples keep their exact sampled value; every other
-// query (the void locations) flows through the fused batch pipeline —
-// per worker and per fusedTile micro-batch: batched k-NN featurization
-// into a reusable feature block, a blocked GEMM forward pass into
-// reusable activation buffers, and denormalization straight into dst.
-// The context is checked between macro-batches (ReconBatch locations),
-// preserving the pre-fusion cancellation granularity. The position
-// normalization is refit to the plan's full grid bounds — not the
-// region's — which is what lets a model trained on one
+// ReconstructRegion implements recon.Reconstructor on the plan's
+// neighbour pass (recon.Plan.Neighbors), which hands each worker tiles
+// of consecutive region queries with their canonical K-NN lists. A
+// query whose nearest sample (the plan's NearestOf rule, the same one
+// the nearest table holds) lies within a squared distance of
+// MinSpacing2·1e-12 coincides with that sample and keeps its exact
+// value, as in the paper, which predicts only the void; the tile's
+// other queries, the void locations, become feature rows packed into
+// the worker's scratch and run through one blocked GEMM forward pass,
+// denormalized straight into dst. No grid-wide table is built for it:
+// a box or point-list query on a fresh plan leaves the plan without a
+// nearest table, and a full-grid query fills the table on the way. The
+// kernels compute every row on its own, so the packing changes no bit.
+// The position normalization is refit to the plan's full grid bounds —
+// not the region's — which is what lets a model trained on one
 // resolution/domain reconstruct another, and makes a sub-box query
 // bit-identical to the same box cut from a full-grid reconstruction.
 func (r *FCNN) ReconstructRegion(ctx context.Context, p *recon.Plan, region recon.Region, dst []float64) error {
 	c := p.Cloud()
-	if c.Len() < r.opts.Features.K {
-		return fmt.Errorf("core: cloud has %d points, need >= %d", c.Len(), r.opts.Features.K)
+	K := r.opts.Features.K
+	if c.Len() < K {
+		return fmt.Errorf("core: cloud has %d points, need >= %d", c.Len(), K)
 	}
 	spec := p.Spec()
 	reg := telemetry.Default()
@@ -513,61 +515,66 @@ func (r *FCNN) ReconstructRegion(ctx context.Context, p *recon.Plan, region reco
 	if err != nil {
 		return err
 	}
+	inW, outW := ex.Config().InputWidth(), pred.Config().Out
 
-	// Split queries into exact sample hits and void locations.
-	n := region.Len()
 	eps2 := spec.MinSpacing2() * 1e-12
-	knnSp := sp.Child("knn-query")
-	nearIdx, nearD2, err := p.NearestFor(ctx, region, r.opts.Workers)
-	knnSp.End()
-	if err != nil {
-		return err
-	}
-	voidIdx := make([]int, 0, n)
-	for m := 0; m < n; m++ {
-		if nearD2[m] <= eps2 {
-			dst[m] = c.Values[nearIdx[m]]
-		} else {
-			voidIdx = append(voidIdx, m)
-		}
-	}
-
-	batch := r.opts.ReconBatch
-	if batch <= 0 {
-		batch = 1 << 18
-	}
 	workers := r.opts.Workers
 	if workers <= 0 {
 		workers = parallel.DefaultWorkers()
 	}
-	// One scratch set per worker, reused across macro-batches and taken
-	// from scratchPool; slots fill lazily because ForChunked may engage
+	// One scratch set per worker of the pass, taken from scratchPool
+	// when the worker's first tile arrives: a small region engages
 	// fewer workers.
 	scratch := make([]*fusedScratch, workers)
 	defer putFusedScratch(scratch)
-	for bstart := 0; bstart < len(voidIdx); bstart += batch {
-		if err := ctx.Err(); err != nil {
+	// The features read the first K neighbours, the nearest-sample rule
+	// the first two.
+	k := max(K, 2)
+	var void atomic.Int64
+	fusedSp := sp.Child("fused-infer")
+	err = p.Neighbors(ctx, region, k, workers, func(w, first int, queries []mathutil.Vec3, nbs []kdtree.Neighbor) error {
+		s := scratch[w]
+		if s == nil {
+			s = getFusedScratch(pred, inW, outW)
+			scratch[w] = s
+		}
+		n := 0
+		for i, q := range queries {
+			nb := nbs[i*k : (i+1)*k]
+			if nb[0].Dist2 <= eps2 {
+				j, _ := p.NearestOf(q, nb)
+				dst[first+i] = c.Values[j]
+				continue
+			}
+			ex.Row(q, nb[:K], s.x.Row(n))
+			s.rows[n] = first + i
+			n++
+		}
+		void.Add(int64(n))
+		if n == 0 {
+			return nil
+		}
+		s.x.Rows, s.out.Rows = n, n
+		if err := pred.PredictInto(s.x, s.out, s.buf); err != nil {
 			return err
 		}
-		end := bstart + batch
-		if end > len(voidIdx) {
-			end = len(voidIdx)
+		for i, m := range s.rows[:n] {
+			dst[m] = norm.Denorm(s.out.At(i, 0))
 		}
-		fusedSp := sp.Child("fused-infer")
-		err := r.fusedInfer(pred, ex, spec, region, voidIdx[bstart:end], dst, norm, workers, scratch)
-		fusedSp.End()
-		if err != nil {
-			return err
-		}
-		reg.Counter("core.reconstruct.batches").Inc()
+		return nil
+	})
+	fusedSp.End()
+	if err != nil {
+		return err
 	}
+	n, nVoid := region.Len(), int(void.Load())
 	elapsed := time.Since(start)
 	r.tm.setRecon(elapsed)
 	reg.Counter("core.reconstruct.runs").Inc()
-	reg.Counter("core.reconstruct.void_points").Add(int64(len(voidIdx)))
-	reg.Counter("core.reconstruct.exact_points").Add(int64(n - len(voidIdx)))
+	reg.Counter("core.reconstruct.void_points").Add(int64(nVoid))
+	reg.Counter("core.reconstruct.exact_points").Add(int64(n - nVoid))
 	telemetry.Debugf("reconstruct done",
-		"points", n, "void", len(voidIdx), "samples", c.Len(),
+		"points", n, "void", nVoid, "samples", c.Len(),
 		"dur", elapsed.Round(time.Millisecond))
 	return nil
 }
@@ -580,68 +587,6 @@ func (r *FCNN) reconNormalizer(spec recon.GridSpec) *features.Normalizer {
 	norm.PosMin = posNorm.PosMin
 	norm.PosScale = posNorm.PosScale
 	return norm
-}
-
-// fusedInfer runs one macro-batch of void locations through the fused
-// pipeline: workers take contiguous sub-ranges of chunk and stream
-// fusedTile micro-batches through their own scratch, so the whole
-// macro-batch allocates no scratch once scratchPool is warm. Results
-// are bit-identical to the row-at-a-time reference path
-// (reconstructRegionScalar, the tests' oracle) — the kernels preserve
-// accumulation order exactly.
-func (r *FCNN) fusedInfer(pred nn.Predictor, ex *features.Extractor, spec recon.GridSpec, region recon.Region, chunk []int, dst []float64, norm *features.Normalizer, workers int, scratch []*fusedScratch) error {
-	nw := workers
-	if nw > len(chunk) {
-		nw = len(chunk)
-	}
-	if nw < 1 {
-		return nil
-	}
-	csz := (len(chunk) + nw - 1) / nw
-	var mu sync.Mutex
-	var firstErr error
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-	parallel.ForChunked(len(chunk), nw, func(lo, hi int) {
-		// ForChunked hands worker w the range starting at w*csz, so the
-		// worker id — and its scratch slot — falls out of lo.
-		w := lo / csz
-		s := scratch[w]
-		if s == nil {
-			s = getFusedScratch(pred, ex.Config().InputWidth(), pred.Config().Out, ex.Config().K)
-			scratch[w] = s
-		}
-		for t := lo; t < hi; t += fusedTile {
-			te := t + fusedTile
-			if te > hi {
-				te = hi
-			}
-			tile := chunk[t:te]
-			s.queries = s.queries[:0]
-			for _, m := range tile {
-				s.queries = append(s.queries, region.PointAt(spec, m))
-			}
-			rows := len(tile)
-			s.x.Rows, s.out.Rows = rows, rows
-			if err := ex.BuildBatch(s.queries, s.x, s.nbBuf); err != nil {
-				fail(err)
-				return
-			}
-			if err := pred.PredictInto(s.x, s.out, s.buf); err != nil {
-				fail(err)
-				return
-			}
-			for i, m := range tile {
-				dst[m] = norm.Denorm(s.out.At(i, 0))
-			}
-		}
-	})
-	return firstErr
 }
 
 // Losses returns the concatenated per-epoch training losses (full

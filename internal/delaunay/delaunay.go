@@ -51,7 +51,19 @@ const noTet = int32(-1)
 
 // Build triangulates the given points (len(points) == len(values),
 // at least 4 non-degenerate points required). The inputs are copied.
+// The returned mesh keeps only its live tetrahedra (see compact).
 func Build(points []mathutil.Vec3, values []float64) (*Triangulation, error) {
+	t, err := build(points, values)
+	if err != nil {
+		return nil, err
+	}
+	t.compact()
+	return t, nil
+}
+
+// build is Build without the final compaction: every tetrahedron the
+// insertions created stays in t.tets, the dead ones marked.
+func build(points []mathutil.Vec3, values []float64) (*Triangulation, error) {
 	if len(points) != len(values) {
 		return nil, errors.New("delaunay: points/values length mismatch")
 	}
@@ -68,7 +80,11 @@ func Build(points []mathutil.Vec3, values []float64) (*Triangulation, error) {
 		return nil, errors.New("delaunay: all points coincide")
 	}
 
-	t := &Triangulation{bounds: bounds}
+	t := &Triangulation{
+		bounds: bounds,
+		verts:  make([]mathutil.Vec3, 0, len(points)+4),
+		values: make([]float64, 0, len(points)+4),
+	}
 
 	// Super-tetrahedron comfortably containing the bounding box.
 	c := bounds.Center()
@@ -409,6 +425,49 @@ func (t *Triangulation) findLive() int32 {
 func (t *Triangulation) refreshFirstLive() {
 	t.firstLive = noTet
 	t.findLive()
+}
+
+// compact drops the dead tetrahedra, which Bowyer–Watson leaves behind
+// at every insertion (about three of every four a build creates), and
+// releases their storage. The live ones keep their relative order, and
+// the neighbour links and firstLive are remapped, so a locator walk
+// visits the same tetrahedra and interpolates the same bits. A walk
+// that does not cycle visits each live tetrahedron at most once, so the
+// step limit, which shrinks with len(t.tets), still stops only cycling
+// walks, and the exhaustive fallback scans the live tetrahedra in the
+// same order as before.
+func (t *Triangulation) compact() {
+	remap := make([]int32, len(t.tets))
+	live := int32(0)
+	for i := range t.tets {
+		remap[i] = noTet
+		if !t.tets[i].dead {
+			remap[i] = live
+			live++
+		}
+	}
+	tets := make([]tet, 0, live)
+	for _, tt := range t.tets {
+		if tt.dead {
+			continue
+		}
+		for f, nb := range tt.neighbor {
+			if nb != noTet {
+				tt.neighbor[f] = remap[nb]
+			}
+		}
+		tets = append(tets, tt)
+	}
+	t.tets = tets
+	t.firstLive = remap[t.firstLive]
+}
+
+// Bytes estimates the heap the triangulation retains: vertices, values
+// and tetrahedra (verts and neighbours, circumsphere and flag, padded to
+// 72 bytes). recon.Plan.Stats counts it for a memoized mesh.
+func (t *Triangulation) Bytes() int64 {
+	const vertBytes, valueBytes, tetBytes = 24, 8, 72
+	return int64(cap(t.verts))*vertBytes + int64(cap(t.values))*valueBytes + int64(cap(t.tets))*tetBytes
 }
 
 // NumTets returns the number of live tetrahedra (including those

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"fillvoid/internal/mathutil"
 )
@@ -322,5 +323,100 @@ func TestNumTetsGrowsWithPoints(t *testing.T) {
 			t.Fatalf("n=%d: %d tets is implausibly many", n, nt)
 		}
 		prev = nt
+	}
+}
+
+// gridSubset returns frac of the nodes of an nx×ny×nz unit-spaced grid,
+// chosen at random: the cospherical layout sampled scientific data has.
+func gridSubset(nx, ny, nz int, frac float64, seed int64) ([]mathutil.Vec3, []float64) {
+	rng := mathutil.NewRNG(seed)
+	var pts []mathutil.Vec3
+	var vals []float64
+	for k := 0; k < nz; k++ {
+		for j := 0; j < ny; j++ {
+			for i := 0; i < nx; i++ {
+				if rng.Float64() < frac {
+					pts = append(pts, mathutil.Vec3{X: float64(i), Y: float64(j), Z: float64(k)})
+					vals = append(vals, math.Sin(float64(i)*0.3)+float64(j)*0.1-float64(k*k)*0.02)
+				}
+			}
+		}
+	}
+	return pts, vals
+}
+
+// TestCompactionKeepsEveryAnswer pins compact: a built mesh holds only
+// live tetrahedra, and every grid node (in raster order, so walks chain
+// from the previous answer) and random off-grid point interpolates to
+// the same bits, with the same hull verdict, as on the uncompacted mesh.
+func TestCompactionKeepsEveryAnswer(t *testing.T) {
+	type setup struct {
+		name       string
+		pts        []mathutil.Vec3
+		vals       []float64
+		nx, ny, nz int
+	}
+	var setups []setup
+	for _, frac := range []float64{0.01, 0.05} {
+		for seed := int64(1); seed <= 3; seed++ {
+			pts, vals := gridSubset(31, 31, 6, frac, seed)
+			setups = append(setups, setup{fmt.Sprintf("grid f%g s%d", frac, seed), pts, vals, 31, 31, 6})
+		}
+	}
+	for _, n := range []int{20, 300} {
+		pts, vals := randomPoints(n, int64(n))
+		for i := range pts {
+			pts[i] = pts[i].Scale(10)
+		}
+		setups = append(setups, setup{fmt.Sprintf("random n%d", n), pts, vals, 11, 11, 11})
+	}
+	for _, s := range setups {
+		loose, err := build(s.pts, s.vals)
+		if err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		tight, err := Build(s.pts, s.vals)
+		if err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		if len(tight.tets) != loose.NumTets() || cap(tight.tets) != len(tight.tets) {
+			t.Fatalf("%s: compacted mesh holds %d tets (cap %d), want the %d live ones",
+				s.name, len(tight.tets), cap(tight.tets), loose.NumTets())
+		}
+		if _, err := tight.Validate(false); err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		if tight.Bytes() >= loose.Bytes() {
+			t.Fatalf("%s: compaction kept %d of %d bytes", s.name, tight.Bytes(), loose.Bytes())
+		}
+		var queries []mathutil.Vec3
+		for k := 0; k < s.nz; k++ {
+			for j := 0; j < s.ny; j++ {
+				for i := 0; i < s.nx; i++ {
+					queries = append(queries, mathutil.Vec3{X: float64(i), Y: float64(j), Z: float64(k)})
+				}
+			}
+		}
+		rng := mathutil.NewRNG(int64(len(s.pts)))
+		for i := 0; i < 2000; i++ {
+			queries = append(queries, mathutil.Vec3{
+				X: rng.Float64() * float64(s.nx), Y: rng.Float64() * float64(s.ny), Z: rng.Float64() * float64(s.nz),
+			})
+		}
+		lw, tw := loose.NewLocator(), tight.NewLocator()
+		for n, q := range queries {
+			want, wantOK := lw.Interpolate(q)
+			got, gotOK := tw.Interpolate(q)
+			if gotOK != wantOK || math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s query %d %+v: compacted (%v, %v), uncompacted (%v, %v)", s.name, n, q, got, gotOK, want, wantOK)
+			}
+		}
+	}
+}
+
+// The Bytes estimate's 72-byte tetrahedron is the struct's real size.
+func TestTetBytesMatchesLayout(t *testing.T) {
+	if got := unsafe.Sizeof(tet{}); got != 72 {
+		t.Fatalf("tet is %d bytes, Bytes assumes 72", got)
 	}
 }

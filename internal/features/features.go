@@ -156,8 +156,12 @@ type Extractor struct {
 }
 
 // NewExtractor indexes the cloud. The cloud must contain at least K
-// points.
+// points and pass pointcloud.Cloud.Validate: a non-finite coordinate
+// would corrupt the k-d tree it builds.
 func NewExtractor(cfg Config, c *pointcloud.Cloud, norm *Normalizer) (*Extractor, error) {
+	if err := c.Validate(); err != nil {
+		return nil, err
+	}
 	if cfg.K < 1 {
 		return nil, fmt.Errorf("features: K must be >= 1, got %d", cfg.K)
 	}
@@ -209,13 +213,16 @@ func (e *Extractor) Normalizer() *Normalizer { return e.norm }
 // FeaturesInto writes the feature vector for query point q into dst
 // (len InputWidth) using nbBuf as k-NN scratch.
 func (e *Extractor) FeaturesInto(q mathutil.Vec3, dst []float64, nbBuf []kdtree.Neighbor) {
-	e.row(q, e.tree.KNearestInto(q, e.cfg.K, nbBuf), dst)
+	e.Row(q, e.tree.KNearestInto(q, e.cfg.K, nbBuf), dst)
 }
 
-// row writes the feature vector of query q, whose K nearest samples are
-// nbs in canonical order, into dst. The cloud holds at least K points,
-// so nbs has exactly K entries.
-func (e *Extractor) row(q mathutil.Vec3, nbs []kdtree.Neighbor, dst []float64) {
+// Row writes the feature vector of query q into dst (len InputWidth),
+// given q's K nearest samples nbs in kdtree's canonical order: exactly
+// K entries, all indexing the extractor's cloud. It searches nothing,
+// so callers that already hold the neighbour lists (the FCNN on the
+// plan's neighbour pass) featurize without a second search; the row
+// equals FeaturesInto's bit for bit.
+func (e *Extractor) Row(q mathutil.Vec3, nbs []kdtree.Neighbor, dst []float64) {
 	w := 0
 	for _, nb := range nbs {
 		p := e.norm.Point(e.cloud.Points[nb.Index])
@@ -266,7 +273,7 @@ func (e *Extractor) rows(queries []mathutil.Vec3, dst []float64, nbBuf []kdtree.
 		nbs := e.tree.KNearestBatchInto(qs, k, 1, nbBuf[:len(qs)*k])
 		for i, q := range qs {
 			r := (lo + i) * width
-			e.row(q, nbs[i*k:(i+1)*k], dst[r:r+width])
+			e.Row(q, nbs[i*k:(i+1)*k], dst[r:r+width])
 		}
 	}
 }

@@ -130,6 +130,14 @@ func TestExtractorValidation(t *testing.T) {
 	if _, err := NewExtractor(Config{K: 1}, small, nil); err == nil {
 		t.Fatal("accepted nil normalizer")
 	}
+	// The tree NewExtractor builds would be corrupt over a non-finite
+	// coordinate.
+	bad := pointcloud.New("f", 0)
+	bad.Add(mathutil.Vec3{}, 1)
+	bad.Add(mathutil.Vec3{Y: math.Inf(-1)}, 2)
+	if _, err := NewExtractor(Config{K: 1}, bad, norm); err == nil {
+		t.Fatal("accepted a non-finite coordinate")
+	}
 }
 
 func TestFeatureVectorLayout(t *testing.T) {

@@ -4,9 +4,9 @@
 // natural neighbor, local radial basis functions, and an adapter over
 // the Delaunay piecewise-linear interpolator. All methods implement
 // recon.Reconstructor and execute through the shared recon engine: a
-// query Plan (validated cloud + k-d tree + nearest-sample table) built
-// once per (cloud, grid) pair, cancellable chunked execution, and
-// region-of-interest queries.
+// query Plan (validated cloud, k-d tree, neighbour pass, nearest-sample
+// table) built once per (cloud, grid) pair, cancellable chunked
+// execution, and region-of-interest queries.
 package interp
 
 import (
@@ -73,7 +73,11 @@ func StandardRegistry(workers int) *recon.Registry {
 	reg.RegisterMethod(&Shepard{Workers: workers})
 	reg.RegisterMethod(&NaturalNeighbor{Workers: workers})
 	reg.RegisterMethod(&RBF{Workers: workers})
-	reg.RegisterMethod(&Linear{Workers: workers})
+	// Registered by name: at workers == 1, Linear names itself
+	// "linear-seq", and RegisterMethod would leave no "linear" entry.
+	reg.Register("linear", func() (recon.Reconstructor, error) {
+		return &Linear{Workers: workers}, nil
+	})
 	reg.Register("linear-seq", func() (recon.Reconstructor, error) {
 		return &Linear{Workers: 1}, nil
 	})

@@ -240,6 +240,14 @@ func TestStandardRegistry(t *testing.T) {
 			t.Fatalf("error %q does not mention %q", err, want)
 		}
 	}
+	// One worker registers every name too; its linear is sequential.
+	seq := StandardRegistry(1)
+	if got := strings.Join(seq.Names(), " "); got != "linear linear-seq natural nearest rbf shepard" {
+		t.Fatalf("StandardRegistry(1).Names() = %s", got)
+	}
+	if m, err := seq.Get("linear"); err != nil || m.(*Linear).Workers != 1 {
+		t.Fatalf("StandardRegistry(1).Get(linear) = %v, %v", m, err)
+	}
 }
 
 func TestGridSpec(t *testing.T) {

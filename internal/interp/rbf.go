@@ -8,7 +8,6 @@ import (
 	"fillvoid/internal/grid"
 	"fillvoid/internal/kdtree"
 	"fillvoid/internal/mathutil"
-	"fillvoid/internal/parallel"
 	"fillvoid/internal/pointcloud"
 	"fillvoid/internal/recon"
 )
@@ -46,7 +45,7 @@ func (r *RBF) Reconstruct(c *pointcloud.Cloud, spec GridSpec) (*grid.Volume, err
 }
 
 // ReconstructRegion implements Reconstructor: per-query local solves
-// against the plan's shared tree.
+// over the K-NN lists of the plan's neighbour pass.
 func (r *RBF) ReconstructRegion(ctx context.Context, p *recon.Plan, region recon.Region, dst []float64) error {
 	c := p.Cloud()
 	k := r.K
@@ -71,16 +70,11 @@ func (r *RBF) ReconstructRegion(ctx context.Context, p *recon.Plan, region recon
 	if kernel != "imq" && kernel != "tps" {
 		return fmt.Errorf("interp: unknown RBF kernel %q (want imq or tps)", kernel)
 	}
-	tree := p.Tree()
-	spec := p.Spec()
-	return parallel.ForChunkedCtx(ctx, region.Len(), r.Workers, func(start, end int) error {
-		nbBuf := make([]kdtree.Neighbor, 0, k)
+	return p.Neighbors(ctx, region, k, r.Workers, func(_, first int, queries []mathutil.Vec3, nbs []kdtree.Neighbor) error {
 		mat := make([]float64, (k+1)*(k+1))
 		rhs := make([]float64, k+1)
-		for m := start; m < end; m++ {
-			q := region.PointAt(spec, m)
-			nbs := tree.KNearestInto(q, k, nbBuf)
-			dst[m] = rbfValue(c, nbs, q, kernel, shape, ridge, mat, rhs)
+		for i, q := range queries {
+			dst[first+i] = rbfValue(c, nbs[i*k:(i+1)*k], q, kernel, shape, ridge, mat, rhs)
 		}
 		return nil
 	})

@@ -7,7 +7,6 @@ import (
 	"fillvoid/internal/grid"
 	"fillvoid/internal/kdtree"
 	"fillvoid/internal/mathutil"
-	"fillvoid/internal/parallel"
 	"fillvoid/internal/pointcloud"
 	"fillvoid/internal/recon"
 )
@@ -36,16 +35,10 @@ func (r *Shepard) Reconstruct(c *pointcloud.Cloud, spec GridSpec) (*grid.Volume,
 	return recon.ReconstructCloud(context.Background(), r, c, spec)
 }
 
-// shepardTile is how many queries a Shepard worker searches per
-// warm-started k-NN batch. ForChunkedCtx hands a worker about 32 chunks
-// and each allocates one tile of scratch (K neighbours per query), so
-// the tile stays small; only its first query starts cold.
-const shepardTile = 64
-
-// ReconstructRegion implements Reconstructor: k-NN against the plan's
-// shared tree, batched per tile of consecutive region queries so each
-// search warm-starts from the one before. Neighbour lists are canonical
-// whatever the batching, so tiling cannot change the result.
+// ReconstructRegion implements Reconstructor on the plan's neighbour
+// pass: each query's K nearest samples, searched in warm-started tiles
+// of consecutive region queries. Neighbour lists are canonical whatever
+// the tiling or worker count, so neither can change the result.
 func (r *Shepard) ReconstructRegion(ctx context.Context, p *recon.Plan, region recon.Region, dst []float64) error {
 	c := p.Cloud()
 	k := r.K
@@ -55,21 +48,9 @@ func (r *Shepard) ReconstructRegion(ctx context.Context, p *recon.Plan, region r
 	if k > c.Len() {
 		k = c.Len()
 	}
-	tree := p.Tree()
-	spec := p.Spec()
-	return parallel.ForChunkedCtx(ctx, region.Len(), r.Workers, func(start, end int) error {
-		tile := min(shepardTile, end-start)
-		queries := make([]mathutil.Vec3, 0, tile)
-		nbs := make([]kdtree.Neighbor, tile*k)
-		for lo := start; lo < end; lo += tile {
-			queries = queries[:0]
-			for m := lo; m < min(lo+tile, end); m++ {
-				queries = append(queries, region.PointAt(spec, m))
-			}
-			tree.KNearestBatchInto(queries, k, 1, nbs)
-			for i := range queries {
-				dst[lo+i] = shepardValue(c, nbs[i*k:(i+1)*k])
-			}
+	return p.Neighbors(ctx, region, k, r.Workers, func(_, first int, queries []mathutil.Vec3, nbs []kdtree.Neighbor) error {
+		for i := range queries {
+			dst[first+i] = shepardValue(c, nbs[i*k:(i+1)*k])
 		}
 		return nil
 	})

@@ -13,10 +13,14 @@
 // Dist2, then ascending Index, with distances computed like
 // mathutil.Vec3.Dist2 — so they equal an exhaustive search sorted the
 // same way, index for index and bit for bit, whatever the batching,
-// warm start, worker count or leaf kernel (see leafKernel). Nearest
-// and NearestBulk are not: among points at exactly the same distance
-// they keep the first one the descent visits, which the baselines'
-// pinned outputs rely on.
+// warm start, worker count or leaf kernel (see leafKernel). Nearest is
+// not: among points at exactly the same distance it keeps the first one
+// its descent visits, which the baselines' pinned outputs rely on. Grid
+// nodes are searched in bulk only through recon.Plan.Neighbors, on
+// KNearestBatchInto; Nearest remains for the cases the canonical order
+// cannot answer alone: the plan's nearest-sample rule at an exact tie
+// between the two nearest samples, Sibson's gather at off-grid points,
+// linear interpolation outside the hull, and iso's Chamfer distance.
 package kdtree
 
 import (
@@ -189,8 +193,7 @@ func (t *Tree) Nearest(q mathutil.Vec3) (int, float64) {
 	}
 	// Dedicated 1-NN traversal: routing k=1 through KNearestInto makes
 	// the one-element buffer escape into the heap struct, costing one
-	// allocation per call — and Nearest is called once per grid node
-	// when the recon engine builds its nearest-sample table.
+	// allocation per call.
 	b := nearest1{index: -1, d2: inf()}
 	t.nearest1(0, len(t.points), q, &b)
 	return b.index, b.d2
@@ -454,19 +457,6 @@ func (b *best) offer(index int, d2 float64) {
 func precedes(d2 float64, index int, nb Neighbor) bool {
 	//lint:allow floateq: bit-exact tie-break; equal distances rank by index so every search returns the brute-force list
 	return d2 < nb.Dist2 || d2 == nb.Dist2 && index < nb.Index
-}
-
-// NearestBulk runs Nearest for n queries in parallel, writing the
-// nearest sample index and squared distance into idx and d2 (both of
-// length n). point maps a query ordinal to its position, so callers can
-// enumerate grid nodes without materializing them. It is the bulk entry
-// point the recon engine uses to build nearest-sample tables.
-func (t *Tree) NearestBulk(n, workers int, point func(i int) mathutil.Vec3, idx []int32, d2 []float64) {
-	parallel.For(n, workers, func(i int) {
-		bi, bd2 := t.Nearest(point(i))
-		idx[i] = int32(bi)
-		d2[i] = bd2
-	})
 }
 
 func inf() float64 { return math.Inf(1) }

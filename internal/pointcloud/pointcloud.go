@@ -7,6 +7,7 @@ package pointcloud
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"fillvoid/internal/mathutil"
 )
@@ -86,14 +87,26 @@ func (c *Cloud) Clone() *Cloud {
 	return out
 }
 
-// Validate checks the structural invariants (parallel slices, finite
-// check is the caller's concern). It returns nil for a healthy cloud.
+// Validate checks the invariants every consumer relies on: parallel
+// slices, and finite coordinates. A NaN or ±Inf coordinate breaks every
+// spatial search over the cloud (a k-d tree built over it answers wrong
+// neighbours for other, finite queries), so the error names the first
+// such point. Values are not checked. It returns nil for a healthy
+// cloud.
 func (c *Cloud) Validate() error {
 	if len(c.Points) != len(c.Values) {
 		return errors.New("pointcloud: points/values length mismatch")
 	}
+	for i, p := range c.Points {
+		if !finite(p.X) || !finite(p.Y) || !finite(p.Z) {
+			return fmt.Errorf("pointcloud: point %d has a non-finite coordinate (%g, %g, %g)", i, p.X, p.Y, p.Z)
+		}
+	}
 	return nil
 }
+
+// finite reports whether x is neither NaN nor ±Inf.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // Subsample returns a cloud containing every point whose index i
 // satisfies keep(i); used for training-set reduction experiments.

@@ -1,6 +1,8 @@
 package pointcloud
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"fillvoid/internal/mathutil"
@@ -85,6 +87,29 @@ func TestValidateCatchesSkew(t *testing.T) {
 	c.Values = c.Values[:2]
 	if err := c.Validate(); err == nil {
 		t.Fatal("expected error for skewed slices")
+	}
+}
+
+// A NaN or ±Inf coordinate anywhere in the cloud corrupts every k-d
+// tree search over it, so Validate rejects it and names the first such
+// point; a non-finite value is the value's own business.
+func TestValidateRejectsNonFiniteCoordinates(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for axis := 0; axis < 3; axis++ {
+			c := sample()
+			c.Add(mathutil.Vec3{X: 2, Y: 2, Z: 2}, 1)
+			c.Points[1] = c.Points[1].WithComponent(axis, bad)
+			c.Points[3] = c.Points[3].WithComponent(axis, bad)
+			err := c.Validate()
+			if err == nil || !strings.Contains(err.Error(), "point 1 ") {
+				t.Fatalf("coordinate %d = %v: got %v, want an error naming point 1", axis, bad, err)
+			}
+		}
+	}
+	c := sample()
+	c.Values[0] = math.NaN()
+	if err := c.Validate(); err != nil {
+		t.Fatalf("NaN value rejected: %v", err)
 	}
 }
 

@@ -115,8 +115,9 @@ type PlanStats struct {
 	// tetrahedralization).
 	MemoEntries int
 	// Bytes estimates the retained heap: cloud storage, tree index
-	// arrays, and the nearest table. Memoized per-method state is opaque
-	// and not included.
+	// arrays, the nearest table, and every built memo value that
+	// reports its size through a Bytes() int64 method (the Delaunay
+	// tetrahedralization does).
 	Bytes int64
 }
 
@@ -128,9 +129,9 @@ func (p *Plan) Stats() PlanStats {
 	s.Bytes = int64(p.cloud.Len()) * 32
 	if p.treeBuilt.Load() {
 		s.TreeBuilt = true
-		// idx int32 + axis int8 per point (points are shared with the
-		// cloud and not double counted).
-		s.Bytes += int64(p.cloud.Len()) * 5
+		// idx int32 + axis int8 + the px/py/pz coordinate copy per
+		// point (the points slice itself is shared with the cloud).
+		s.Bytes += int64(p.cloud.Len()) * 29
 	}
 	if p.nearBuilt.Load() {
 		s.NearestTableBuilt = true
@@ -139,6 +140,9 @@ func (p *Plan) Stats() PlanStats {
 	}
 	p.memoMu.Lock()
 	s.MemoEntries = len(p.memo)
+	for _, e := range p.memo {
+		s.Bytes += e.bytes.Load()
+	}
 	p.memoMu.Unlock()
 	return s
 }

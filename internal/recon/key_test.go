@@ -2,6 +2,7 @@ package recon
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"fillvoid/internal/mathutil"
@@ -113,8 +114,22 @@ func TestPlanStatsTracksLazyBuilds(t *testing.T) {
 		t.Fatal(err)
 	}
 	st = p.Stats()
-	if !st.NearestTableBuilt || st.MemoEntries != 1 || st.Bytes <= withTree {
+	if !st.NearestTableBuilt || st.MemoEntries != 1 || st.Bytes != withTree+int64(spec.Len())*12 {
 		t.Fatalf("nearest/memo build not reflected: %+v", st)
+	}
+
+	// A memo value that reports its size adds exactly that size; a
+	// failed build adds nothing.
+	withTable := st.Bytes
+	if _, err := p.Memo("sized", func() (any, error) { return sizedMemo(4096), nil }); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Memo("failed", func() (any, error) { return sizedMemo(1 << 20), errFailedMemo }); err != errFailedMemo {
+		t.Fatalf("failed memo returned %v", err)
+	}
+	st = p.Stats()
+	if st.MemoEntries != 3 || st.Bytes != withTable+4096 {
+		t.Fatalf("sized memo not counted exactly: %+v, want Bytes %d", st, withTable+4096)
 	}
 
 	// Stats must stay valid while queries run (smoke: one region query).
@@ -123,3 +138,10 @@ func TestPlanStatsTracksLazyBuilds(t *testing.T) {
 	}
 	_ = p.Stats()
 }
+
+// sizedMemo is a memo value that reports its retained size.
+type sizedMemo int64
+
+func (m sizedMemo) Bytes() int64 { return int64(m) }
+
+var errFailedMemo = errors.New("memo build failed")

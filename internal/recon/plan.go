@@ -2,6 +2,7 @@ package recon
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -17,6 +18,16 @@ import (
 // expensive parts: the k-d tree over the samples, the per-grid-node
 // nearest-sample table, value-range stats, and per-method memoized state
 // (e.g. a Delaunay tetrahedralization).
+//
+// Neighbors is the one place a region's grid nodes are searched: the
+// FCNN, Shepard and RBF run on it. The nearest table costs 12 bytes per
+// grid node for as long as the plan lives, so only the queries that need
+// every node's nearest sample build it: NearestTable itself, NearestFor
+// on a box region (the nearest method), and natural neighbour, whose
+// scatter reads the whole grid. A full-grid Neighbors pass with k >= 2
+// fills the table on the way when the plan has none, so a Fig 9-style
+// run searches the grid once for both. FCNN box and point-list queries
+// leave the plan without one.
 //
 // A Plan is immutable after NewPlan and safe for concurrent use; the
 // lazily built pieces are guarded by sync.Once.
@@ -44,6 +55,9 @@ type memoEntry struct {
 	once sync.Once
 	val  any
 	err  error
+	// bytes is the size val reports once built (see Stats), 0 for
+	// values that do not report one.
+	bytes atomic.Int64
 }
 
 // NewPlan validates the pair and returns a plan. The heavy pieces (tree,
@@ -88,45 +102,164 @@ func (p *Plan) ValueRange() (lo, hi float64) {
 	return p.valMin, p.valMax
 }
 
+// NeighborTile is the most queries one NeighborVisitor call receives:
+// each worker of the pass searches its nodes in tiles of this many
+// consecutive queries.
+const NeighborTile = 512
+
+// NeighborVisitor receives one tile of a Neighbors pass: the index w of
+// the worker running it, the region ordinal of the tile's first query,
+// the tile's query positions, and their canonical k-NN lists, flat
+// (query i's list is nbs[i*k:(i+1)*k], padded with {Index: -1, Dist2:
+// +Inf} when the cloud holds fewer than k samples). Both slices are the
+// worker's scratch and are overwritten by its next tile. Tiles of one
+// worker arrive in region order; different workers run concurrently.
+type NeighborVisitor func(w, first int, queries []mathutil.Vec3, nbs []kdtree.Neighbor) error
+
+// Neighbors runs the plan's neighbour pass over region: the k nearest
+// samples of every query, in kdtree's canonical order. It takes box,
+// full-grid and point-list regions. Each of min(workers, region.Len())
+// workers (workers <= 0: parallel.DefaultWorkers()) takes one
+// contiguous range of the region, worker w the w-th, and searches it in
+// tiles of NeighborTile consecutive queries with one warm-started
+// KNearestBatchInto each, so every query but a tile's first starts from
+// the bound its predecessor left. ctx is checked once per tile; the
+// pass stops at the first visitor error or cancellation and returns it.
+// visit may be nil.
+//
+// A full-grid pass with k >= 2 on a plan without a nearest table fills
+// one from its lists (see NearestOf) and publishes it when the pass
+// completes, unless another pass published first.
+func (p *Plan) Neighbors(ctx context.Context, region Region, k, workers int, visit NeighborVisitor) error {
+	if k < 1 {
+		return fmt.Errorf("recon: neighbour pass needs k >= 1, got %d", k)
+	}
+	var idx []int32
+	var d2 []float64
+	if k >= 2 && region.IsFull(p.spec) && !p.nearBuilt.Load() {
+		idx, d2 = make([]int32, p.spec.Len()), make([]float64, p.spec.Len())
+	}
+	if err := p.pass(ctx, region, k, workers, visit, idx, d2); err != nil {
+		return err
+	}
+	if idx != nil {
+		p.nearOnce.Do(func() { p.setNearest(idx, d2) })
+	}
+	return nil
+}
+
+// pass is Neighbors without the table bookkeeping: when nearIdx and
+// nearD2 are non-nil (region.Len() long, k >= 2), it also writes every
+// query's NearestOf answer into them.
+func (p *Plan) pass(ctx context.Context, region Region, k, workers int, visit NeighborVisitor, nearIdx []int32, nearD2 []float64) error {
+	n := region.Len()
+	if n == 0 {
+		return ctx.Err()
+	}
+	if workers <= 0 {
+		workers = parallel.DefaultWorkers()
+	}
+	workers = min(workers, n)
+	chunk := (n + workers - 1) / workers
+	tree, spec := p.Tree(), p.spec
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var (
+		errOnce  sync.Once
+		firstErr error
+	)
+	fail := func(err error) {
+		errOnce.Do(func() { firstErr = err })
+		cancel()
+	}
+	parallel.ForChunked(n, workers, func(lo, hi int) {
+		// ForChunked hands worker w the range starting at w*chunk.
+		w := lo / chunk
+		tile := min(NeighborTile, hi-lo)
+		queries := make([]mathutil.Vec3, tile)
+		buf := make([]kdtree.Neighbor, tile*k)
+		for t := lo; t < hi; t += tile {
+			if err := ctx.Err(); err != nil {
+				fail(err)
+				return
+			}
+			qs := queries[:min(tile, hi-t)]
+			for i := range qs {
+				qs[i] = region.PointAt(spec, t+i)
+			}
+			nbs := tree.KNearestBatchInto(qs, k, 1, buf)
+			if nearIdx != nil {
+				for i, q := range qs {
+					j, d := p.NearestOf(q, nbs[i*k:(i+1)*k])
+					nearIdx[t+i], nearD2[t+i] = int32(j), d
+				}
+			}
+			if visit != nil {
+				if err := visit(w, t, qs, nbs); err != nil {
+					fail(err)
+					return
+				}
+			}
+		}
+	})
+	return firstErr
+}
+
+// NearestOf resolves q's nearest sample from its canonical k-NN list
+// nbs, which must hold at least two entries: the first neighbour when it
+// is strictly closer than the second, else the tree's Nearest. The
+// nearest table holds exactly this answer for every grid node.
+func (p *Plan) NearestOf(q mathutil.Vec3, nbs []kdtree.Neighbor) (int, float64) {
+	// Sample coordinates are finite (pointcloud.Cloud.Validate), so the
+	// canonical order gives nbs[0].Dist2 <= nbs[1].Dist2 and "not equal"
+	// is "strictly below". Only at an exact tie may the canonical first
+	// (the lower index) differ from the sample Nearest's descent keeps,
+	// which the pinned nearest, natural and linear outputs rest on.
+	//lint:allow floateq: an exact tie between the two nearest samples is the one case where the canonical order and Nearest may disagree
+	if nbs[1].Dist2 == nbs[0].Dist2 {
+		return p.Tree().Nearest(q)
+	}
+	return nbs[0].Index, nbs[0].Dist2
+}
+
 // NearestTable returns the full-grid nearest-sample table: for every
 // grid node, the index of the closest sample and the squared distance to
-// it. Built once with the given worker count and cached; subsequent
-// calls (any worker count) return the cached slices. Callers must not
-// mutate them.
+// it, as NearestOf resolves them. When the plan has none it runs a
+// Neighbors pass at k = 2 with the given worker count; later calls (any
+// worker count) return the cached slices. Callers must not mutate them.
 func (p *Plan) NearestTable(workers int) (idx []int32, d2 []float64) {
 	p.nearOnce.Do(func() {
-		tree := p.Tree()
 		n := p.spec.Len()
-		p.nearIdx = make([]int32, n)
-		p.nearD2 = make([]float64, n)
-		spec := p.spec
-		tree.NearestBulk(n, workers, func(m int) mathutil.Vec3 {
-			nx := spec.NX
-			i := m % nx
-			j := (m / nx) % spec.NY
-			k := m / (nx * spec.NY)
-			return spec.Point(i, j, k)
-		}, p.nearIdx, p.nearD2)
-		p.nearBuilt.Store(true)
+		idx, d2 := make([]int32, n), make([]float64, n)
+		//lint:allow errdrop: a pass with no visitor under a background context cannot fail
+		_ = p.pass(context.Background(), Full(p.spec), 2, workers, nil, idx, d2)
+		p.setNearest(idx, d2)
 	})
 	return p.nearIdx, p.nearD2
+}
+
+// setNearest publishes a complete nearest table; callers run it inside
+// p.nearOnce.
+func (p *Plan) setNearest(idx []int32, d2 []float64) {
+	p.nearIdx, p.nearD2 = idx, d2
+	p.nearBuilt.Store(true)
 }
 
 // NearestFor returns nearest-sample indices and squared distances for
 // every query in region, in region order. For box regions it slices out
 // of the cached full-grid table (building it if needed); point-list
-// regions are answered directly against the tree.
+// regions run a k = 2 Neighbors pass and resolve each list with
+// NearestOf, so they match the table at grid nodes.
 func (p *Plan) NearestFor(ctx context.Context, region Region, workers int) (idx []int32, d2 []float64, err error) {
 	n := region.Len()
 	idx = make([]int32, n)
 	d2 = make([]float64, n)
 	if region.IsPoints() {
-		tree := p.Tree()
-		pts := region.Points
-		err = parallel.ForCtx(ctx, n, workers, func(m int) error {
-			bi, bd2 := tree.Nearest(pts[m])
-			idx[m] = int32(bi)
-			d2[m] = bd2
+		err = p.Neighbors(ctx, region, 2, workers, func(_, first int, queries []mathutil.Vec3, nbs []kdtree.Neighbor) error {
+			for i, q := range queries {
+				j, d := p.NearestOf(q, nbs[2*i:2*i+2])
+				idx[first+i], d2[first+i] = int32(j), d
+			}
 			return nil
 		})
 		if err != nil {
@@ -150,7 +283,9 @@ func (p *Plan) NearestFor(ctx context.Context, region Region, workers int) (idx 
 // Memo returns per-plan memoized state for key, building it at most once
 // via build. Reconstructors use it for state derivable from the plan but
 // specific to a method (e.g. "delaunay" for the tetrahedralization), so
-// repeated runs and region queries against one plan share it.
+// repeated runs and region queries against one plan share it. A value
+// with a Bytes() int64 method reports its retained size, which Stats
+// counts.
 func (p *Plan) Memo(key string, build func() (any, error)) (any, error) {
 	p.memoMu.Lock()
 	if p.memo == nil {
@@ -164,6 +299,9 @@ func (p *Plan) Memo(key string, build func() (any, error)) (any, error) {
 	p.memoMu.Unlock()
 	e.once.Do(func() {
 		e.val, e.err = build()
+		if s, ok := e.val.(interface{ Bytes() int64 }); ok && e.err == nil {
+			e.bytes.Store(s.Bytes())
+		}
 	})
 	return e.val, e.err
 }

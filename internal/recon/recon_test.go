@@ -6,6 +6,7 @@ package recon_test
 import (
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -329,6 +330,21 @@ func TestUniformEmptyCloudError(t *testing.T) {
 	for _, m := range registryMethods(t) {
 		if _, err := m.Reconstruct(empty, spec); !errors.Is(err, recon.ErrEmptyCloud) {
 			t.Fatalf("%s: got %v, want ErrEmptyCloud", m.Name(), err)
+		}
+	}
+}
+
+// A sample with a NaN or ±Inf coordinate would corrupt the plan's k-d
+// tree for every query, so NewPlan refuses the cloud and names the
+// point.
+func TestNewPlanRejectsNonFiniteCoordinates(t *testing.T) {
+	v := testVolume()
+	spec := recon.SpecOf(v)
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		cloud := sampledCloud(t, v, 0.04).Clone()
+		cloud.Points[7].Z = bad
+		if _, err := recon.NewPlan(cloud, spec); err == nil || !strings.Contains(err.Error(), "point 7 ") {
+			t.Fatalf("coordinate %v: NewPlan = %v, want an error naming point 7", bad, err)
 		}
 	}
 }

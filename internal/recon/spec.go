@@ -4,11 +4,16 @@
 //
 //   - Plan: everything derivable from a (cloud, GridSpec) pair alone —
 //     validation, the k-d tree over the samples, the nearest-sample
-//     distance table, value-range normalization stats, and memoized
-//     per-method state (e.g. a Delaunay tetrahedralization). Built once,
-//     shared by every reconstructor that runs against the pair, so a
-//     Fig 9-style five-method comparison builds the spatial index once
-//     instead of five times.
+//     table, value-range normalization stats, and memoized per-method
+//     state (e.g. a Delaunay tetrahedralization). Built once, shared by
+//     every reconstructor that runs against the pair, so a Fig 9-style
+//     five-method comparison builds the spatial index once instead of
+//     five times. Its neighbour pass (Plan.Neighbors) is the one place
+//     a region's grid nodes are searched: the FCNN, Shepard and RBF run
+//     on it. The full-grid nearest table is built only by the queries
+//     that read it — NearestTable, nearest-method boxes (NearestFor)
+//     and natural neighbour — and a full-grid pass fills it on the way,
+//     so FCNN box and point-list queries never pay for one.
 //   - Region: the query shape. Full grids, sub-grid boxes, and arbitrary
 //     point lists all answer through the same engine entry points; the
 //     full grid is just the degenerate region. This is the serving
@@ -19,8 +24,8 @@
 //     FCNN special cases that used to live in every caller.
 //
 // Execution is chunked and cancellable: reconstructors run over the grid
-// in tiles via parallel.ForChunkedCtx, honor context cancellation, and
-// propagate worker errors early.
+// in tiles (the neighbour pass, or parallel.ForChunkedCtx), honor
+// context cancellation, and propagate worker errors early.
 package recon
 
 import (

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"math/rand"
 	"net/http"
 	"sync"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"fillvoid/internal/delaunay"
 	"fillvoid/internal/interp"
 	"fillvoid/internal/mathutil"
 	"fillvoid/internal/pointcloud"
@@ -119,16 +121,22 @@ func TestThunderingHerdBuildsOnePlan(t *testing.T) {
 }
 
 // TestPlanCacheBytesGaugeUnderChurn pins the gauge accounting fix:
-// plans grow lazily after insertion (k-d tree, nearest table), so the
-// old insert-size-only bookkeeping under-added and a later eviction
-// drove server.plan_cache.bytes negative. With per-entry accounting
-// the gauge stays non-negative through insert/grow/evict churn and
-// lands exactly on the sum of the resident plans' measured sizes.
+// plans grow lazily after insertion (k-d tree, nearest table, the
+// Delaunay memo), so the old insert-size-only bookkeeping under-added
+// and a later eviction drove server.plan_cache.bytes negative. With
+// per-entry accounting the gauge stays non-negative through
+// insert/grow/evict churn and lands exactly on the sum of the resident
+// plans' measured sizes, the tetrahedralization included.
 func TestPlanCacheBytesGaugeUnderChurn(t *testing.T) {
 	tel := telemetry.NewRegistry()
 	pc := newPlanCache(2, tel)
 	gauge := tel.Gauge("server.plan_cache.bytes")
-	m, err := interp.StandardRegistry(2).Get("nearest")
+	reg := interp.StandardRegistry(2)
+	m, err := reg.Get("nearest")
+	if err != nil {
+		t.Fatal(err)
+	}
+	linear, err := reg.Get("linear")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,9 +162,21 @@ func TestPlanCacheBytesGaugeUnderChurn(t *testing.T) {
 				t.Fatal(err)
 			}
 			check("after getOrBuild", key)
-			// Grow the plan's lazy pieces past its insert-time size.
+			// Grow the plan's lazy pieces past its insert-time size:
+			// the nearest table, then the Delaunay memo.
 			if _, err := recon.Reconstruct(context.Background(), m, plan, recon.Full(spec)); err != nil {
 				t.Fatal(err)
+			}
+			withTable := plan.Stats().Bytes
+			if _, err := recon.Reconstruct(context.Background(), linear, plan, recon.Box(0, 0, 0, 2, 2, 1)); err != nil {
+				t.Fatal(err)
+			}
+			tri, err := plan.Memo("delaunay", func() (any, error) { return nil, errors.New("delaunay memo not built") })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := plan.Stats().Bytes-withTable, tri.(*delaunay.Triangulation).Bytes(); got != want || want <= 0 {
+				t.Fatalf("linear grew the plan by %d bytes, its tetrahedralization reports %d", got, want)
 			}
 			// A hit reconciles the growth into the gauge.
 			if _, _, err := pc.getOrBuild(key, c, spec); err != nil {

@@ -1,7 +1,7 @@
 // Package telemetry is the observability layer for the fillvoid
 // pipeline: a stdlib-only metrics registry with atomic counters, gauges
 // and bucketed histograms; a Span API for named stage timing with
-// hierarchical labels ("pretrain/feature-build", "reconstruct/knn-query",
+// hierarchical labels ("pretrain/feature-build", "reconstruct/fused-infer",
 // ...); a TrainObserver hook delivering per-epoch training statistics;
 // JSON snapshot export; and an optional HTTP server exposing /metrics
 // (JSON + expvar), net/http/pprof and /debug/traces.

@@ -119,6 +119,16 @@ func TestVTPFileRoundTrip(t *testing.T) {
 	}
 }
 
+func TestVTPWriteRejectsNonFiniteCoordinates(t *testing.T) {
+	c := pointcloud.New("f", 2)
+	c.Add(mathutil.Vec3{X: 1, Y: 2, Z: 3}, 9)
+	c.Add(mathutil.Vec3{X: math.NaN(), Y: 2, Z: 3}, 9)
+	var buf bytes.Buffer
+	if err := WriteVTP(&buf, c); err == nil || !strings.Contains(err.Error(), "point 1 ") {
+		t.Fatalf("WriteVTP = %v, want an error naming point 1", err)
+	}
+}
+
 func TestVTPRejectsGarbage(t *testing.T) {
 	if _, err := ReadVTP(strings.NewReader("junk")); err == nil {
 		t.Fatal("accepted garbage")
