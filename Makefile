@@ -108,6 +108,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzTrainRequest -fuzztime=$(FUZZTIME) ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzF16RoundTrip -fuzztime=$(FUZZTIME) ./internal/mathutil
 	$(GO) test -run='^$$' -fuzz=FuzzLoadModel -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzResumeState -fuzztime=$(FUZZTIME) ./internal/nn
 	$(GO) test -run='^$$' -fuzz=FuzzKNearest -fuzztime=$(FUZZTIME) ./internal/kdtree
 	$(GO) test -run='^$$' -fuzz=FuzzNearestTable -fuzztime=$(FUZZTIME) ./internal/recon
 

@@ -8,15 +8,19 @@
 // — the failure mode the paper's in-situ deployment (training shares a
 // node with the simulation) makes routine.
 //
-// On-disk format of one checkpoint file (ckpt-<epoch>.fvcp):
+// On-disk format of one checkpoint file (ckpt-<epoch>.fvcp), every
+// integer little-endian:
 //
-//	magic "FVCP" | version byte | uint64 LE body length | gob(envelope) | CRC-32C of body
+//	magic "FVCP" | version byte (2) | uint64 body length | body | CRC-32C of body
+//	body: uint64 epoch | uint64 config hash | int64 unix seconds | payload
 //
-// where the envelope is {Meta, payload bytes}. Any truncation, bit rot,
-// or torn write fails the length or checksum test and LoadLatest falls
-// back to the previous file; a crash between temp-file creation and
-// rename leaves only a stale temp file, which is ignored by loads and
-// swept by the next manager.
+// The payload is opaque bytes; internal/core writes the model format
+// followed by the network's training state (nn.Network.MarshalState).
+// Any truncation, bit rot, or torn write fails the length or checksum
+// test and LoadLatest falls back to the previous file, as it does for a
+// file of another version (version 1 bodies were gob); a crash between
+// temp-file creation and rename leaves only a stale temp file, which is
+// ignored by loads and swept by the next manager.
 //
 // A directory is owned by a single training run; concurrent writers are
 // not supported (the retention sweep would race).
@@ -26,7 +30,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -45,7 +48,9 @@ var (
 )
 
 const (
-	formatVersion = 1
+	formatVersion = 2
+	headerLen     = 13 // magic, version byte, body length
+	metaLen       = 24 // epoch, config hash, unix seconds
 	tmpPattern    = ".tmp-ckpt-*"
 	suffix        = ".fvcp"
 	prefix        = "ckpt-"
@@ -61,8 +66,6 @@ func unixNow() int64 { return time.Now().Unix() }
 // Meta is the checkpoint header: enough to decide resumability without
 // decoding the payload.
 type Meta struct {
-	// FormatVersion is the file format version (set by Save).
-	FormatVersion int
 	// Epoch is the number of lifetime training epochs completed at save
 	// time; it orders checkpoints and names the file.
 	Epoch int
@@ -70,18 +73,8 @@ type Meta struct {
 	// grid geometry, seed). A resume against a different configuration is
 	// detected and refused by the caller.
 	ConfigHash uint64
-	// RNGState is the minibatch-shuffle generator state at save time,
-	// recorded in the header for inspectability; the authoritative copy
-	// rides in the payload's TrainState.
-	RNGState uint64
 	// Unix is the save wall-clock time in seconds (informational).
 	Unix int64
-}
-
-// envelope is the gob body of a checkpoint file.
-type envelope struct {
-	Meta    Meta
-	Payload []byte
 }
 
 // Config configures a Manager.
@@ -179,11 +172,11 @@ func parseEpoch(name string) int {
 	return epoch
 }
 
-// Save atomically writes a checkpoint for meta.Epoch through
-// WriteFile, then prunes beyond the retention depth. A failure at any
-// step leaves previously published checkpoints untouched and returns
-// the error.
-func (m *Manager) Save(meta Meta, payload any) (path string, err error) {
+// Save atomically writes a checkpoint for meta.Epoch whose payload is
+// the concatenation of chunks, through WriteFile, then prunes beyond
+// the retention depth. A failure at any step leaves previously
+// published checkpoints untouched and returns the error.
+func (m *Manager) Save(meta Meta, payload ...[]byte) (path string, err error) {
 	_, sp := m.tel.Start(context.TODO(), "checkpoint/save")
 	defer sp.End()
 	defer func() {
@@ -192,33 +185,30 @@ func (m *Manager) Save(meta Meta, payload any) (path string, err error) {
 		}
 	}()
 
-	meta.FormatVersion = formatVersion
 	if meta.Unix == 0 {
 		meta.Unix = m.now()
 	}
-	var pbuf bytes.Buffer
-	if err := gob.NewEncoder(&pbuf).Encode(payload); err != nil {
-		return "", fmt.Errorf("checkpoint: encoding payload: %w", err)
+	le := binary.LittleEndian
+	body := le.AppendUint64(nil, uint64(meta.Epoch))
+	body = le.AppendUint64(body, meta.ConfigHash)
+	body = le.AppendUint64(body, uint64(meta.Unix))
+	bodyLen := len(body)
+	sum := crc32.Checksum(body, castagnoli)
+	for _, p := range payload {
+		bodyLen += len(p)
+		sum = crc32.Update(sum, castagnoli, p)
 	}
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(envelope{Meta: meta, Payload: pbuf.Bytes()}); err != nil {
-		return "", fmt.Errorf("checkpoint: encoding envelope: %w", err)
-	}
-
-	var hdr [13]byte
-	copy(hdr[:4], magic[:])
-	hdr[4] = formatVersion
-	binary.LittleEndian.PutUint64(hdr[5:], uint64(body.Len()))
-	sum := crc32.Checksum(body.Bytes(), castagnoli)
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], sum)
+	hdr := append(append([]byte{}, magic[:]...), formatVersion)
+	hdr = le.AppendUint64(hdr, uint64(bodyLen))
+	chunks := append([][]byte{hdr, body}, payload...)
+	chunks = append(chunks, le.AppendUint32(nil, sum))
 
 	final := filepath.Join(m.dir, fileName(meta.Epoch))
-	if err := WriteFile(m.fs, final, tmpPattern, hdr[:], body.Bytes(), crc[:]); err != nil {
+	if err := WriteFile(m.fs, final, tmpPattern, chunks...); err != nil {
 		return "", err
 	}
 	m.tel.Counter("checkpoint.saves").Inc()
-	m.tel.Counter("checkpoint.save_bytes").Add(int64(13 + body.Len() + 4))
+	m.tel.Counter("checkpoint.save_bytes").Add(int64(headerLen + bodyLen + 4))
 	m.prune()
 	telemetry.Debugf("checkpoint saved", "path", final, "epoch", meta.Epoch)
 	return final, nil
@@ -275,35 +265,32 @@ func (m *Manager) List() ([]Meta, error) {
 	return out, nil
 }
 
-// LoadLatest decodes the newest intact checkpoint into payload (a
-// non-nil pointer) and returns its metadata. A corrupt or torn newest
-// file is skipped — with a telemetry fallback count and a warning log —
-// and the next-newest tried, which is the crash-recovery guarantee: a
-// write interrupted at any byte can cost at most the epochs since the
-// previous checkpoint. ErrNoCheckpoint means a fresh start.
-func (m *Manager) LoadLatest(payload any) (Meta, error) {
+// LoadLatest returns the metadata and payload of the newest intact
+// checkpoint. A corrupt or torn newest file is skipped — with a
+// telemetry fallback count and a warning log — and the next-newest
+// tried, which is the crash-recovery guarantee: a write interrupted at
+// any byte can cost at most the epochs since the previous checkpoint.
+// ErrNoCheckpoint means a fresh start.
+func (m *Manager) LoadLatest() (Meta, []byte, error) {
 	_, sp := m.tel.Start(context.TODO(), "checkpoint/load")
 	defer sp.End()
 	epochs, err := m.epochs()
 	if err != nil {
-		return Meta{}, fmt.Errorf("checkpoint: listing %s: %w", m.dir, err)
+		return Meta{}, nil, fmt.Errorf("checkpoint: listing %s: %w", m.dir, err)
 	}
 	for i := len(epochs) - 1; i >= 0; i-- {
-		meta, body, rerr := m.read(epochs[i])
-		if rerr == nil {
-			rerr = gob.NewDecoder(bytes.NewReader(body)).Decode(payload)
-		}
-		if rerr != nil {
+		meta, payload, err := m.read(epochs[i])
+		if err != nil {
 			m.tel.Counter("checkpoint.fallbacks").Inc()
 			telemetry.Warnf("checkpoint unreadable, falling back",
-				"path", filepath.Join(m.dir, fileName(epochs[i])), "err", rerr)
+				"path", filepath.Join(m.dir, fileName(epochs[i])), "err", err)
 			continue
 		}
 		m.tel.Counter("checkpoint.loads").Inc()
 		telemetry.Infof("checkpoint loaded", "dir", m.dir, "epoch", meta.Epoch)
-		return meta, nil
+		return meta, payload, nil
 	}
-	return Meta{}, ErrNoCheckpoint
+	return Meta{}, nil, ErrNoCheckpoint
 }
 
 // read loads and integrity-checks one checkpoint file, returning its
@@ -314,7 +301,7 @@ func (m *Manager) read(epoch int) (Meta, []byte, error) {
 	if err != nil {
 		return Meta{}, nil, err
 	}
-	if len(data) < 13+4 {
+	if len(data) < headerLen+metaLen+4 {
 		return Meta{}, nil, fmt.Errorf("checkpoint: %s truncated (%d bytes)", path, len(data))
 	}
 	if !bytes.Equal(data[:4], magic[:]) {
@@ -323,23 +310,20 @@ func (m *Manager) read(epoch int) (Meta, []byte, error) {
 	if data[4] != formatVersion {
 		return Meta{}, nil, fmt.Errorf("checkpoint: %s has unsupported version %d", path, data[4])
 	}
-	bodyLen := binary.LittleEndian.Uint64(data[5:13])
-	if bodyLen != uint64(len(data)-13-4) {
+	le := binary.LittleEndian
+	bodyLen := le.Uint64(data[5:headerLen])
+	if bodyLen != uint64(len(data)-headerLen-4) {
 		return Meta{}, nil, fmt.Errorf("checkpoint: %s length mismatch (header %d, actual %d)",
-			path, bodyLen, len(data)-13-4)
+			path, bodyLen, len(data)-headerLen-4)
 	}
-	body := data[13 : 13+bodyLen]
-	want := binary.LittleEndian.Uint32(data[13+bodyLen:])
-	if got := crc32.Checksum(body, castagnoli); got != want {
+	body := data[headerLen : headerLen+bodyLen]
+	if got := crc32.Checksum(body, castagnoli); got != le.Uint32(data[headerLen+bodyLen:]) {
 		return Meta{}, nil, fmt.Errorf("checkpoint: %s checksum mismatch", path)
 	}
-	var env envelope
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&env); err != nil {
-		return Meta{}, nil, fmt.Errorf("checkpoint: %s decoding envelope: %w", path, err)
-	}
-	if env.Meta.Epoch != epoch {
+	meta := Meta{Epoch: int(le.Uint64(body)), ConfigHash: le.Uint64(body[8:]), Unix: int64(le.Uint64(body[16:]))}
+	if meta.Epoch != epoch {
 		return Meta{}, nil, fmt.Errorf("checkpoint: %s epoch mismatch (header %d, name %d)",
-			path, env.Meta.Epoch, epoch)
+			path, meta.Epoch, epoch)
 	}
-	return env.Meta, env.Payload, nil
+	return meta, body[metaLen:], nil
 }

@@ -277,7 +277,7 @@ func Decode(r io.Reader) (*Decoded, error) {
 	// every index costs at least one input byte, so capping the initial
 	// capacity bounds memory by the real input size, not the header's
 	// claimed count.
-	d.Indices = make([]int, 0, minU64(count, 1<<16))
+	d.Indices = make([]int, 0, min(count, 1<<16))
 	prev := -1
 	for i := uint64(0); i < count; i++ {
 		delta, err := binary.ReadUvarint(br)
@@ -300,7 +300,7 @@ func Decode(r io.Reader) (*Decoded, error) {
 	if levels > 0 && hi > lo {
 		inv = (hi - lo) / float64(levels)
 	}
-	d.Cloud = pointcloud.New(d.FieldName, int(minU64(count, 1<<16)))
+	d.Cloud = pointcloud.New(d.FieldName, int(min(count, 1<<16)))
 	var acc uint64
 	accBits := 0
 	for _, idx := range d.Indices {
@@ -318,13 +318,6 @@ func Decode(r io.Reader) (*Decoded, error) {
 		d.Cloud.Add(geom.PointAt(idx), lo+float64(q)*inv)
 	}
 	return d, nil
-}
-
-func minU64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // EncodedSize returns the exact number of bytes Encode would produce

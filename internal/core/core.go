@@ -640,14 +640,24 @@ const modelVersion = 1
 // The bytes depend only on the model's values, so equal models save to
 // equal bytes in every process; a model id is their FNV-1a hash.
 func (r *FCNN) Save(w io.Writer) error {
-	hdr, err := json.Marshal(modelHeader{modelVersion, r.opts, *r.norm, r.fieldName})
+	hdr, err := r.header()
 	if err != nil {
 		return err
 	}
-	if _, err := w.Write(append(binary.LittleEndian.AppendUint64(nil, uint64(len(hdr))), hdr...)); err != nil {
+	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
 	return r.net.Save(w)
+}
+
+// header returns the model format up to the network's bytes. A
+// checkpoint is these bytes followed by the network's MarshalState.
+func (r *FCNN) header() ([]byte, error) {
+	hdr, err := json.Marshal(modelHeader{modelVersion, r.opts, *r.norm, r.fieldName})
+	if err != nil {
+		return nil, err
+	}
+	return append(binary.LittleEndian.AppendUint64(nil, uint64(len(hdr))), hdr...), nil
 }
 
 // Load reads a reconstructor written by Save.
@@ -656,6 +666,12 @@ func Load(rd io.Reader) (*FCNN, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: reading model: %w", err)
 	}
+	return decode(b, func(b []byte) (*nn.Network, error) { return nn.Load(bytes.NewReader(b)) })
+}
+
+// decode reads the model header from b and the network's bytes after it
+// with net: nn.Load for a model, nn.Resume for a checkpoint.
+func decode(b []byte, net func([]byte) (*nn.Network, error)) (*FCNN, error) {
 	if len(b) < 8 || binary.LittleEndian.Uint64(b) > uint64(len(b)-8) {
 		return nil, errors.New("core: model header truncated")
 	}
@@ -667,11 +683,11 @@ func Load(rd io.Reader) (*FCNN, error) {
 	if h.Version != modelVersion {
 		return nil, fmt.Errorf("core: unsupported model version %d", h.Version)
 	}
-	net, err := nn.Load(bytes.NewReader(b[end:]))
+	n, err := net(b[end:])
 	if err != nil {
 		return nil, err
 	}
-	return &FCNN{opts: h.Opts.withDefaults(), net: net, norm: &h.Norm, fieldName: h.FieldName, tm: &timings{}}, nil
+	return &FCNN{opts: h.Opts.withDefaults(), net: n, norm: &h.Norm, fieldName: h.FieldName, tm: &timings{}}, nil
 }
 
 // SaveFile writes the reconstructor to path.

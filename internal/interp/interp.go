@@ -49,8 +49,8 @@ func (r *Nearest) Reconstruct(c *pointcloud.Cloud, spec GridSpec) (*grid.Volume,
 	return recon.ReconstructCloud(context.Background(), r, c, spec)
 }
 
-// ReconstructRegion implements Reconstructor: the nearest-sample table
-// is exactly the plan's, so this is a lookup.
+// ReconstructRegion implements Reconstructor: the plan's NearestFor
+// answers are exactly the nearest-sample table's, so this is a lookup.
 func (r *Nearest) ReconstructRegion(ctx context.Context, p *recon.Plan, region recon.Region, dst []float64) error {
 	idx, _, err := p.NearestFor(ctx, region, r.Workers)
 	if err != nil {

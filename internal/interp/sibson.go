@@ -147,10 +147,10 @@ func scatterSources(spec GridSpec, region recon.Region, kLo, kHi int, values []f
 		}
 		rj := int(planeMaxD[sk]/spec.Spacing.Y) + 1
 		ri := int(planeMaxD[sk]/spec.Spacing.X) + 1
-		sjMax := minInt(region.J1-1+rj, spec.NY-1)
-		siMax := minInt(region.I1-1+ri, spec.NX-1)
-		for sj := maxInt(region.J0-rj, 0); sj <= sjMax; sj++ {
-			for si := maxInt(region.I0-ri, 0); si <= siMax; si++ {
+		sjMax := min(region.J1-1+rj, spec.NY-1)
+		siMax := min(region.I1-1+ri, spec.NX-1)
+		for sj := max(region.J0-rj, 0); sj <= sjMax; sj++ {
+			for si := max(region.I0-ri, 0); si <= siMax; si++ {
 				src := base + sj*spec.NX + si
 				d2 := nearestD2[src]
 				if d2 == 0 {
@@ -252,10 +252,10 @@ func scatterBall(spec GridSpec, region recon.Region, si, sj, sk int, d2, val flo
 	ri := int(d/spec.Spacing.X) + 1
 	rj := int(d/spec.Spacing.Y) + 1
 	rk := int(d/spec.Spacing.Z) + 1
-	kMin := maxInt(sk-rk, kLo)
-	kMax := minInt(sk+rk, kHi-1)
-	jMin := maxInt(sj-rj, region.J0)
-	jMax := minInt(sj+rj, region.J1-1)
+	kMin := max(sk-rk, kLo)
+	kMax := min(sk+rk, kHi-1)
+	jMin := max(sj-rj, region.J0)
+	jMax := min(sj+rj, region.J1-1)
 	for k := kMin; k <= kMax; k++ {
 		dz := float64(k-sk) * spec.Spacing.Z
 		dz2 := dz * dz
@@ -265,9 +265,9 @@ func scatterBall(spec GridSpec, region recon.Region, si, sj, sk int, d2, val flo
 		plane := w * h * (k - region.K0)
 		// Up from sj, then down from sj−1.
 		for _, step := range [2]int{1, -1} {
-			j := maxInt(sj, jMin)
+			j := max(sj, jMin)
 			if step < 0 {
-				j = minInt(sj-1, jMax)
+				j = min(sj-1, jMax)
 			}
 			for n := ri; jMin <= j && j <= jMax; j += step {
 				dy := float64(j-sj) * spec.Spacing.Y
@@ -282,8 +282,8 @@ func scatterBall(spec GridSpec, region recon.Region, si, sj, sk int, d2, val flo
 					}
 					n--
 				}
-				lo := maxInt(si-n, region.I0)
-				hi := minInt(si+n, region.I1-1)
+				lo := max(si-n, region.I0)
+				hi := min(si+n, region.I1-1)
 				if lo > hi {
 					continue
 				}
@@ -297,18 +297,4 @@ func scatterBall(spec GridSpec, region recon.Region, si, sj, sk int, d2, val flo
 			}
 		}
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

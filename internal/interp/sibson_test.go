@@ -103,20 +103,20 @@ func scatterBallPerVoxel(spec GridSpec, region recon.Region, si, sj, sk int, d2,
 	ri := int(d/spec.Spacing.X) + 1
 	rj := int(d/spec.Spacing.Y) + 1
 	rk := int(d/spec.Spacing.Z) + 1
-	for k := maxInt(sk-rk, kLo); k <= minInt(sk+rk, kHi-1); k++ {
+	for k := max(sk-rk, kLo); k <= min(sk+rk, kHi-1); k++ {
 		dz := float64(k-sk) * spec.Spacing.Z
 		dz2 := dz * dz
 		if dz2 >= d2 {
 			continue
 		}
-		for j := maxInt(sj-rj, region.J0); j <= minInt(sj+rj, region.J1-1); j++ {
+		for j := max(sj-rj, region.J0); j <= min(sj+rj, region.J1-1); j++ {
 			dy := float64(j-sj) * spec.Spacing.Y
 			dyz2 := dz2 + dy*dy
 			if dyz2 >= d2 {
 				continue
 			}
 			row := w * ((j - region.J0) + h*(k-region.K0))
-			for i := maxInt(si-ri, region.I0); i <= minInt(si+ri, region.I1-1); i++ {
+			for i := max(si-ri, region.I0); i <= min(si+ri, region.I1-1); i++ {
 				dx := float64(i-si) * spec.Spacing.X
 				if dyz2+dx*dx < d2 {
 					m := row + (i - region.I0)

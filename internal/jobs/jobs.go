@@ -3,10 +3,11 @@ package jobs
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -18,6 +19,7 @@ import (
 	"fillvoid/internal/checkpoint"
 	"fillvoid/internal/core"
 	"fillvoid/internal/grid"
+	"fillvoid/internal/mathutil"
 	"fillvoid/internal/sampling"
 	"fillvoid/internal/telemetry"
 )
@@ -91,12 +93,14 @@ type Status struct {
 	Loss float64
 }
 
-// jobInput is the gob payload persisted at submit time so a restarted
-// process can re-run the job without the original HTTP request: the
-// rebuilt truth volume and, for fine-tune jobs, the base model bytes.
-type jobInput struct {
-	Truth *grid.Volume
-	Base  []byte
+// inputHeader leads a job's input.bin, the inputs persisted at submit
+// time so a restarted process can re-run the job without the original
+// HTTP request. All little-endian, it is followed by the truth volume's
+// N values and then, for fine-tune jobs, the base model's bytes.
+type inputHeader struct {
+	NX, NY, NZ      uint64
+	Origin, Spacing mathutil.Vec3
+	N               uint64
 }
 
 // job is the in-process view of one training job.
@@ -143,7 +147,7 @@ func (s Spec) budgetEpochs() int {
 // Config configures a Manager.
 type Config struct {
 	// Dir is the root job-state directory (one subdirectory per job,
-	// holding job.json, input.gob, and ckpt/). Required.
+	// holding job.json, input.bin, and ckpt/). Required.
 	Dir string
 	// Workers is the training worker pool size (default 1; negative
 	// runs none — jobs queue but never start, which tests and fuzzing
@@ -357,7 +361,7 @@ func (m *Manager) Submit(spec Spec, truth *grid.Volume, base []byte) (Status, bo
 		m.mu.Unlock()
 		return Status{}, false, ErrQueueFull
 	}
-	// Reserve the id under the lock, then do the disk writes (gob
+	// Reserve the id under the lock, then do the disk writes (input
 	// encode + two fsyncs) unlocked so concurrent submits and status
 	// queries are not serialized behind them. A duplicate Submit in the
 	// window sees the reservation and returns it idempotently; Cancel
@@ -367,7 +371,7 @@ func (m *Manager) Submit(spec Spec, truth *grid.Volume, base []byte) (Status, bo
 	m.jobs[id] = j
 	m.mu.Unlock()
 
-	err := m.writeInput(id, jobInput{Truth: truth, Base: base})
+	err := m.writeInput(id, truth, base)
 	if err == nil {
 		err = m.persist(j)
 	}
@@ -614,7 +618,7 @@ func errString(err error) string {
 
 // train runs the actual checkpointed training and stores the result.
 func (m *Manager) train(ctx context.Context, j *job, id string, spec Spec) (string, error) {
-	in, err := m.readInput(id)
+	truth, base, err := m.readInput(id)
 	if err != nil {
 		return "", err
 	}
@@ -647,13 +651,13 @@ func (m *Manager) train(ctx context.Context, j *job, id string, spec Spec) (stri
 
 	var model *core.FCNN
 	if spec.BaseModel == "" {
-		model, err = core.PretrainResumable(ctx, in.Truth, spec.Field, sampler, spec.Opts, ck)
+		model, err = core.PretrainResumable(ctx, truth, spec.Field, sampler, spec.Opts, ck)
 	} else {
-		model, err = core.Load(bytes.NewReader(in.Base))
+		model, err = core.Load(bytes.NewReader(base))
 		if err != nil {
 			return "", fmt.Errorf("jobs: base model: %w", err)
 		}
-		err = model.FineTuneResumable(ctx, in.Truth, sampler, spec.FineTuneMode, spec.FineTuneEpochs, ck)
+		err = model.FineTuneResumable(ctx, truth, sampler, spec.FineTuneMode, spec.FineTuneEpochs, ck)
 	}
 	if err != nil {
 		return "", err
@@ -705,26 +709,45 @@ func readRecord(path string) (Record, error) {
 }
 
 // writeInput persists the job's training inputs at submit time.
-func (m *Manager) writeInput(id string, in jobInput) error {
+func (m *Manager) writeInput(id string, truth *grid.Volume, base []byte) error {
 	dir := filepath.Join(m.cfg.Dir, id)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("jobs: %w", err)
 	}
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(in); err != nil {
-		return fmt.Errorf("jobs: %w", err)
+	h := inputHeader{uint64(truth.NX), uint64(truth.NY), uint64(truth.NZ), truth.Origin, truth.Spacing, uint64(len(truth.Data))}
+	for _, v := range []any{h, truth.Data} {
+		if err := binary.Write(&buf, binary.LittleEndian, v); err != nil {
+			return fmt.Errorf("jobs: %w", err)
+		}
 	}
-	return checkpoint.WriteFile(checkpoint.OS(), filepath.Join(dir, "input.gob"), ".input.gob-*", buf.Bytes())
+	return checkpoint.WriteFile(checkpoint.OS(), filepath.Join(dir, "input.bin"), ".input.bin-*", buf.Bytes(), base)
 }
 
-func (m *Manager) readInput(id string) (jobInput, error) {
-	b, err := os.ReadFile(filepath.Join(m.cfg.Dir, id, "input.gob"))
+// readInput reads back a job's inputs, refusing a volume whose value
+// count is not NX·NY·NZ or whose spacing is not positive.
+func (m *Manager) readInput(id string) (truth *grid.Volume, base []byte, err error) {
+	b, err := os.ReadFile(filepath.Join(m.cfg.Dir, id, "input.bin"))
 	if err != nil {
-		return jobInput{}, fmt.Errorf("jobs: %w", err)
+		return nil, nil, fmt.Errorf("jobs: %w", err)
 	}
-	var in jobInput
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&in); err != nil {
-		return jobInput{}, fmt.Errorf("jobs: %w", err)
+	r := bytes.NewReader(b)
+	var h inputHeader
+	if err := binary.Read(r, binary.LittleEndian, &h); err != nil {
+		return nil, nil, fmt.Errorf("jobs: input header: %w", err)
 	}
-	return in, nil
+	if h.NX < 1 || h.NY < 1 || h.NZ < 1 || h.N%h.NX != 0 || h.N/h.NX%h.NY != 0 || h.N/h.NX/h.NY != h.NZ {
+		return nil, nil, fmt.Errorf("jobs: input volume %dx%dx%d holds %d values", h.NX, h.NY, h.NZ, h.N)
+	}
+	if h.N > uint64(r.Len()/8) {
+		return nil, nil, fmt.Errorf("jobs: input volume truncated: %w", io.ErrUnexpectedEOF)
+	}
+	if s := h.Spacing; !(s.X > 0 && s.Y > 0 && s.Z > 0) {
+		return nil, nil, fmt.Errorf("jobs: input volume spacing %+v is not positive", s)
+	}
+	truth = &grid.Volume{NX: int(h.NX), NY: int(h.NY), NZ: int(h.NZ), Origin: h.Origin, Spacing: h.Spacing, Data: make([]float64, h.N)}
+	if err := binary.Read(r, binary.LittleEndian, truth.Data); err != nil {
+		return nil, nil, fmt.Errorf("jobs: input volume: %w", err)
+	}
+	return truth, b[len(b)-r.Len():], nil
 }

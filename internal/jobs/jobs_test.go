@@ -3,7 +3,9 @@ package jobs
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -385,6 +387,68 @@ func TestVolumeFromCloudRoundTrip(t *testing.T) {
 	}
 	if _, err := VolumeFromCloud(off, spec); err == nil {
 		t.Error("off-grid points accepted")
+	}
+}
+
+// TestInputRoundTripAndRefusals: a job's input.bin gives back the
+// truth volume bit for bit and the base model's bytes, and readInput
+// refuses a value count other than NX·NY·NZ, a spacing that is not
+// positive, and every cut into the volume.
+func TestInputRoundTripAndRefusals(t *testing.T) {
+	m := &Manager{cfg: Config{Dir: t.TempDir()}}
+	truth := testVolume()
+	truth.Data[3] = math.NaN()
+	base := []byte("base model bytes")
+	if err := m.writeInput("a", truth, base); err != nil {
+		t.Fatal(err)
+	}
+	got, gotBase, err := m.readInput("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.NX != truth.NX || got.NY != truth.NY || got.NZ != truth.NZ || got.Origin != truth.Origin || got.Spacing != truth.Spacing {
+		t.Fatalf("geometry %+v, want %+v", got, truth)
+	}
+	for i, v := range truth.Data {
+		if math.Float64bits(got.Data[i]) != math.Float64bits(v) {
+			t.Fatalf("value %d is %v, want %v", i, got.Data[i], v)
+		}
+	}
+	if !bytes.Equal(gotBase, base) {
+		t.Fatalf("base %q, want %q", gotBase, base)
+	}
+
+	path := filepath.Join(m.cfg.Dir, "a", "input.bin")
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	le := binary.LittleEndian
+	const spacingX, count = 48, 72 // byte offsets in the header
+	edits := map[string]func(b []byte){
+		"count":       func(b []byte) { le.PutUint64(b[count:], le.Uint64(b[count:])-1) },
+		"zero NX":     func(b []byte) { le.PutUint64(b[0:], 0) },
+		"huge NY":     func(b []byte) { le.PutUint64(b[8:], 1<<62) },
+		"spacing":     func(b []byte) { le.PutUint64(b[spacingX:], math.Float64bits(0)) },
+		"NaN spacing": func(b []byte) { le.PutUint64(b[spacingX:], math.Float64bits(math.NaN())) },
+	}
+	for name, edit := range edits {
+		b := bytes.Clone(good)
+		edit(b)
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := m.readInput("a"); err == nil {
+			t.Errorf("readInput accepted an input with a bad %s", name)
+		}
+	}
+	for cut := 0; cut < len(good)-len(base); cut += 97 {
+		if err := os.WriteFile(path, good[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := m.readInput("a"); err == nil {
+			t.Fatalf("readInput accepted the input cut to %d bytes", cut)
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package nn
 import (
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -31,14 +30,25 @@ const modelVersion = 1
 // post-step state; see the Network ownership rule); the write itself
 // runs outside the lock so a slow writer never stalls training.
 func (n *Network) Save(w io.Writer) error {
-	cfg, err := json.Marshal(n.cfg)
+	n.mu.Lock()
+	b, err := n.appendModel(nil)
+	n.mu.Unlock()
 	if err != nil {
 		return err
 	}
+	_, err = w.Write(b)
+	return err
+}
+
+// appendModel appends the model format to b; callers hold n.mu.
+func (n *Network) appendModel(b []byte) ([]byte, error) {
+	cfg, err := json.Marshal(n.cfg)
+	if err != nil {
+		return nil, err
+	}
 	le := binary.LittleEndian
-	b := le.AppendUint64(nil, modelVersion)
+	b = le.AppendUint64(b, modelVersion)
 	b = append(le.AppendUint64(b, uint64(len(cfg))), cfg...)
-	n.mu.Lock()
 	b = le.AppendUint64(b, uint64(len(n.layers)))
 	for _, l := range n.layers {
 		b = appendF64s(appendF64s(b, l.w), l.b)
@@ -48,10 +58,7 @@ func (n *Network) Save(w io.Writer) error {
 		}
 		b = le.AppendUint64(b, frozen)
 	}
-	b = appendF64s(b, n.Losses)
-	n.mu.Unlock()
-	_, err = w.Write(b)
-	return err
+	return appendF64s(b, n.Losses), nil
 }
 
 func appendF64s(b []byte, s []float64) []byte {
@@ -60,6 +67,56 @@ func appendF64s(b []byte, s []float64) []byte {
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 	}
 	return b
+}
+
+// MarshalState returns the network's resumable training state: the
+// model format followed by a training section that holds everything
+// else an interrupted run needs to continue bit for bit,
+//
+//	per layer: Adam step count, len, first moments, len, second moments
+//	           of the weights, then the same of the biases |
+//	shuffle generator word | lifetime epoch count at which the run began |
+//	early stopping: 0 (none), 1 (no best epoch yet) or 2, then best
+//	validation loss | epochs since it fell [| per layer: len, weights |
+//	len, biases of the best epoch, when 2]
+//
+// in the model format's integer and float encoding. The state is
+// encoded in one pass under the network's mutex. Unlike Save it reads
+// the run, so it must not race a training call on another goroutine;
+// the training loop calls it between epochs. Resume reads it back.
+func (n *Network) MarshalState() ([]byte, error) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	b, err := n.appendModel(nil)
+	if err != nil {
+		return nil, err
+	}
+	le := binary.LittleEndian
+	for _, o := range n.opts {
+		for _, a := range []*adam{o.w, o.b} {
+			b = appendF64s(appendF64s(le.AppendUint64(b, uint64(a.t)), a.m), a.v)
+		}
+	}
+	b = le.AppendUint64(b, n.shuffle.State())
+	run := runState{start: len(n.Losses)}
+	if n.run != nil {
+		run = *n.run
+	}
+	b = le.AppendUint64(b, uint64(run.start))
+	s := run.stop
+	switch {
+	case s == nil:
+		return le.AppendUint64(b, 0), nil
+	case s.bestW == nil:
+		b = le.AppendUint64(b, 1)
+	default:
+		b = le.AppendUint64(b, 2)
+	}
+	b = le.AppendUint64(le.AppendUint64(b, math.Float64bits(s.best)), uint64(s.bad))
+	for i := range s.bestW {
+		b = appendF64s(appendF64s(b, s.bestW[i]), s.bestB[i])
+	}
+	return b, nil
 }
 
 // Load reads a network written by Save. Every length is checked against
@@ -72,39 +129,102 @@ func Load(r io.Reader) (*Network, error) {
 		return nil, fmt.Errorf("nn: reading model: %w", err)
 	}
 	d := &decoder{b: b}
+	n := d.model(1)
+	if err := d.end(); err != nil {
+		return nil, err
+	}
+	return n, nil
+}
+
+// Resume reads a state written by MarshalState with Load's checks; the
+// shape check counts the state's three arrays per parameter (weights
+// and two Adam moments), so a state too short for them fails before New
+// allocates. The returned network continues training exactly where the
+// capture left off: same weights, optimizer moments, loss history,
+// learning-rate schedule position, shuffle-generator state and run, so
+// resume(k epochs) + (N−k) epochs replays an uninterrupted N-epoch run
+// bit for bit (given the same training data and worker count).
+func Resume(state []byte) (*Network, error) {
+	d := &decoder{b: state}
+	n := d.model(3)
+	if d.err != nil {
+		return nil, d.err
+	}
+	for i, o := range n.opts {
+		for _, a := range []*adam{o.w, o.b} {
+			a.t = int(d.u64())
+			d.array(i, a.m)
+			d.array(i, a.v)
+		}
+	}
+	n.shuffle.SetState(d.u64())
+	start := d.u64()
+	if d.err == nil && start > uint64(len(n.Losses)) {
+		d.err = fmt.Errorf("nn: run starts at epoch %d of %d", start, len(n.Losses))
+	}
+	n.run = &runState{start: int(start)}
+	switch f := d.u64(); f {
+	case 0:
+	case 1, 2:
+		s := &earlyStop{best: math.Float64frombits(d.u64()), bad: int(d.u64())}
+		if f == 2 {
+			if d.err == nil && !n.cfg.fits(len(d.b)) {
+				d.err = errTruncated
+			}
+			if d.err == nil {
+				s.alloc(n.layers)
+				for i := range s.bestW {
+					d.array(i, s.bestW[i])
+					d.array(i, s.bestB[i])
+				}
+			}
+		}
+		n.run.stop = s
+	default:
+		d.err = fmt.Errorf("nn: early-stopping flag %d, want 0, 1 or 2", f)
+	}
+	if err := d.end(); err != nil {
+		return nil, err
+	}
+	return n, nil
+}
+
+// model decodes the model format up to the end of the loss history.
+// The config's weights and biases, times need, must fit in the bytes
+// left after its header before New allocates them.
+func (d *decoder) model(need int) *Network {
 	if v := d.u64(); d.err == nil && v != modelVersion {
-		return nil, fmt.Errorf("nn: unsupported model version %d", v)
+		d.err = fmt.Errorf("nn: unsupported model version %d", v)
 	}
 	var cfg Config
 	if raw := d.next(d.u64()); d.err == nil {
 		if err := json.Unmarshal(raw, &cfg); err != nil {
-			return nil, fmt.Errorf("nn: decoding model config: %w", err)
+			d.err = fmt.Errorf("nn: decoding model config: %w", err)
 		}
 	}
 	layers := d.u64()
 	if d.err != nil {
-		return nil, d.err
+		return nil
 	}
-	if err := cfg.validate(); err != nil {
-		return nil, err
+	if d.err = cfg.validate(); d.err != nil {
+		return nil
 	}
 	if want := uint64(len(cfg.Hidden) + 1); layers != want {
-		return nil, fmt.Errorf("nn: model has %d layers, config implies %d", layers, want)
+		d.err = fmt.Errorf("nn: model has %d layers, config implies %d", layers, want)
+		return nil
 	}
-	if !cfg.fits(len(d.b)) {
-		return nil, fmt.Errorf("nn: config declares more parameters than the model's %d bytes hold", len(b))
+	if !cfg.fits(len(d.b) / need) {
+		d.err = fmt.Errorf("nn: config declares more parameters than the model's %d bytes hold", len(d.b))
+		return nil
 	}
 	n, err := New(cfg)
 	if err != nil {
-		return nil, err
+		d.err = err
+		return nil
 	}
 	for i, l := range n.layers {
-		for _, a := range [][]float64{l.w, l.b} {
-			if k := d.u64(); d.err == nil && k != uint64(len(a)) {
-				d.err = fmt.Errorf("nn: layer %d array has %d values, config implies %d", i, k, len(a))
-			}
-			d.f64s(a)
-		}
+		d.array(i, l.w)
+		d.array(i, l.b)
 		switch f := d.u64(); f {
 		case 0, 1:
 			l.frozen = f == 1
@@ -115,18 +235,13 @@ func Load(r io.Reader) (*Network, error) {
 	}
 	if k := d.u64(); d.err == nil && k > 0 {
 		if k > uint64(len(d.b)/8) {
-			return nil, errTruncated
+			d.err = errTruncated
+			return nil
 		}
 		n.Losses = make([]float64, k)
 		d.f64s(n.Losses)
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if len(d.b) > 0 {
-		return nil, fmt.Errorf("nn: %d trailing bytes after the model", len(d.b))
-	}
-	return n, nil
+	return n
 }
 
 var errTruncated = fmt.Errorf("nn: model truncated: %w", io.ErrUnexpectedEOF)
@@ -167,110 +282,21 @@ func (d *decoder) f64s(dst []float64) {
 	}
 }
 
-// TrainState is the complete resumable training state of a network:
-// everything needed to continue an interrupted run bit-identically.
-// Beyond what Save persists (config, weights, biases, freeze flags,
-// loss history) it carries the Adam moment estimates and step counters
-// per layer, the minibatch-shuffle generator state, and — when captured
-// mid-TrainWithValidation — the early-stopping state. It is plain
-// exported data, gob-encodable; internal/checkpoint writes it to disk
-// atomically.
-type TrainState struct {
-	Version int
-	Config  Config
-	Weights [][]float64
-	Biases  [][]float64
-	Frozen  []bool
-	Losses  []float64
-	// Adam first/second moments and step counts, one entry per dense
-	// layer, for the weight and bias parameter groups respectively.
-	AdamWM, AdamWV [][]float64
-	AdamBM, AdamBV [][]float64
-	AdamWT, AdamBT []int
-	// Shuffle is the minibatch permutation generator state.
-	Shuffle uint64
-	// Val is the early-stopping state of an in-progress
-	// TrainWithValidation run (nil for plain TrainEpochs runs).
-	Val *ValState
+// array fills dst, an array of layer i, from a length and the values;
+// the length must be len(dst).
+func (d *decoder) array(i int, dst []float64) {
+	if k := d.u64(); d.err == nil && k != uint64(len(dst)) {
+		d.err = fmt.Errorf("nn: layer %d array has %d values, config implies %d", i, k, len(dst))
+	}
+	d.f64s(dst)
 }
 
-const trainStateVersion = 1
-
-// Epoch returns the number of lifetime epochs completed at capture time.
-func (ts *TrainState) Epoch() int { return len(ts.Losses) }
-
-// CaptureTrainState snapshots the complete resumable training state
-// under the network's mutex (safe against a concurrent Save/Clone, and
-// called between epochs by the training loop itself).
-func (n *Network) CaptureTrainState() *TrainState {
-	ts := &TrainState{
-		Version: trainStateVersion,
-		Config:  n.cfg,
-		Shuffle: n.shuffle.State(),
+// end returns the first error, or an error when bytes are left over.
+func (d *decoder) end() error {
+	if d.err == nil && len(d.b) > 0 {
+		return fmt.Errorf("nn: %d trailing bytes after the model", len(d.b))
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	ts.Losses = append([]float64(nil), n.Losses...)
-	for i, l := range n.layers {
-		ts.Weights = append(ts.Weights, append([]float64(nil), l.w...))
-		ts.Biases = append(ts.Biases, append([]float64(nil), l.b...))
-		ts.Frozen = append(ts.Frozen, l.frozen)
-		o := n.opts[i]
-		ts.AdamWM = append(ts.AdamWM, append([]float64(nil), o.w.m...))
-		ts.AdamWV = append(ts.AdamWV, append([]float64(nil), o.w.v...))
-		ts.AdamBM = append(ts.AdamBM, append([]float64(nil), o.b.m...))
-		ts.AdamBV = append(ts.AdamBV, append([]float64(nil), o.b.v...))
-		ts.AdamWT = append(ts.AdamWT, o.w.t)
-		ts.AdamBT = append(ts.AdamBT, o.b.t)
-	}
-	return ts
-}
-
-// Resume reconstructs a network from a captured TrainState. The
-// returned network continues training exactly where the capture left
-// off: same weights, optimizer moments, loss history, learning-rate
-// schedule position, and shuffle-generator state, so
-// resume(k epochs) + (N−k) epochs replays an uninterrupted N-epoch run
-// bit for bit (given the same training data and worker count).
-func Resume(ts *TrainState) (*Network, error) {
-	if ts.Version != trainStateVersion {
-		return nil, fmt.Errorf("nn: unsupported train-state version %d", ts.Version)
-	}
-	n, err := New(ts.Config)
-	if err != nil {
-		return nil, err
-	}
-	if len(ts.Weights) != len(n.layers) || len(ts.Biases) != len(n.layers) {
-		return nil, fmt.Errorf("nn: train state has %d layers, config implies %d", len(ts.Weights), len(n.layers))
-	}
-	if len(ts.AdamWM) != len(n.layers) || len(ts.AdamWV) != len(n.layers) ||
-		len(ts.AdamBM) != len(n.layers) || len(ts.AdamBV) != len(n.layers) ||
-		len(ts.AdamWT) != len(n.layers) || len(ts.AdamBT) != len(n.layers) {
-		return nil, errors.New("nn: train state optimizer shape mismatch")
-	}
-	for i, l := range n.layers {
-		if len(ts.Weights[i]) != len(l.w) || len(ts.Biases[i]) != len(l.b) ||
-			len(ts.AdamWM[i]) != len(l.w) || len(ts.AdamWV[i]) != len(l.w) ||
-			len(ts.AdamBM[i]) != len(l.b) || len(ts.AdamBV[i]) != len(l.b) {
-			return nil, fmt.Errorf("nn: train state layer %d shape mismatch", i)
-		}
-		copy(l.w, ts.Weights[i])
-		copy(l.b, ts.Biases[i])
-		l.repack()
-		if i < len(ts.Frozen) {
-			l.frozen = ts.Frozen[i]
-		}
-		o := n.opts[i]
-		copy(o.w.m, ts.AdamWM[i])
-		copy(o.w.v, ts.AdamWV[i])
-		copy(o.b.m, ts.AdamBM[i])
-		copy(o.b.v, ts.AdamBV[i])
-		o.w.t = ts.AdamWT[i]
-		o.b.t = ts.AdamBT[i]
-	}
-	n.Losses = append([]float64(nil), ts.Losses...)
-	n.shuffle.SetState(ts.Shuffle)
-	return n, nil
+	return d.err
 }
 
 // Clone deep-copies the network, including weights, freeze flags and

@@ -9,11 +9,11 @@
 //     every reconstructor that runs against the pair, so a Fig 9-style
 //     five-method comparison builds the spatial index once instead of
 //     five times. Its neighbour pass (Plan.Neighbors) is the one place
-//     a region's grid nodes are searched: the FCNN, Shepard and RBF run
-//     on it. The full-grid nearest table is built only by the queries
-//     that read it — NearestTable, nearest-method boxes (NearestFor)
-//     and natural neighbour — and a full-grid pass fills it on the way,
-//     so FCNN box and point-list queries never pay for one.
+//     a region's grid nodes are searched: the FCNN, Shepard, RBF and
+//     nearest run on it. The full-grid nearest table is built only by
+//     the queries that read it — NearestTable, full-grid NearestFor and
+//     natural neighbour — and a full-grid pass fills it on the way, so
+//     box and point-list queries never pay for one.
 //   - Region: the query shape. Full grids, sub-grid boxes, and arbitrary
 //     point lists all answer through the same engine entry points; the
 //     full grid is just the degenerate region. This is the serving

@@ -80,7 +80,7 @@ func (s *Server) progressiveReconstruct(ctx context.Context, w http.ResponseWrit
 	start := time.Now()
 	chunks := s.cfg.ProgressiveChunks
 	if req.ProgressiveChunks > 0 {
-		chunks = int(min64(req.ProgressiveChunks, maxProgressiveChunks))
+		chunks = int(min(req.ProgressiveChunks, maxProgressiveChunks))
 	}
 	slabs := region.Split(chunks)
 
@@ -189,10 +189,3 @@ func coarsePoints(spec recon.GridSpec, r recon.Region, stride int) ([]mathutil.V
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
