@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"fillvoid/internal/mathutil"
+	"fillvoid/internal/telemetry"
 )
 
 func testConfig() Config {
@@ -27,6 +28,19 @@ func makeRegression(n int, seed int64, f func(a, b float64) float64) (*Matrix, *
 		y.Set(i, 0, f(a, b))
 	}
 	return x, y
+}
+
+// trainValidated runs one TrainEpochsOpts call validated on (vx, vy)
+// and returns its training losses and the validation losses its
+// observer stats carry. An observer installed on n sees every epoch too.
+func trainValidated(n *Network, x, y, vx, vy *Matrix, epochs, patience int) (trainL, valL []float64, err error) {
+	prev := n.Observer()
+	defer n.SetObserver(prev)
+	n.SetObserver(telemetry.MultiObserver{prev, telemetry.ObserverFunc(func(e telemetry.EpochStat) {
+		valL = append(valL, e.ValLoss)
+	})})
+	trainL, err = n.TrainEpochsOpts(x, y, epochs, RunOptions{Validation: &Validation{X: vx, Y: vy, Patience: patience}})
+	return trainL, valL, err
 }
 
 func TestNewValidation(t *testing.T) {
@@ -419,7 +433,7 @@ func TestTrainWithValidationEarlyStops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trainL, valL, err := net.TrainWithValidation(x, y, vx, vy, 400, 15)
+	trainL, valL, err := trainValidated(net, x, y, vx, vy, 400, 15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,7 +464,7 @@ func TestTrainWithValidationEarlyStops(t *testing.T) {
 func TestTrainWithValidationRejectsEmpty(t *testing.T) {
 	net, _ := New(testConfig())
 	x, y := makeRegression(10, 1, func(a, b float64) float64 { return a })
-	if _, _, err := net.TrainWithValidation(x, y, NewMatrix(0, 2), NewMatrix(0, 1), 5, 2); err == nil {
+	if _, _, err := trainValidated(net, x, y, NewMatrix(0, 2), NewMatrix(0, 1), 5, 2); err == nil {
 		t.Fatal("accepted empty validation set")
 	}
 }

@@ -93,12 +93,12 @@ func TestTrainWithValidationObserver(t *testing.T) {
 	net.SetObserver(obs)
 
 	const epochs = 8
-	tl, vl, err := net.TrainWithValidation(x, y, vx, vy, epochs, epochs)
+	tl, err := net.TrainEpochsOpts(x, y, epochs, RunOptions{Validation: &Validation{X: vx, Y: vy, Patience: epochs}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Exactly one stat per completed epoch: the validation wrapper must
-	// suppress the inner loop's emission, not double-report.
+	// Exactly one stat per completed epoch, carrying that epoch's
+	// training and validation losses.
 	if len(obs.stats) != len(tl) {
 		t.Fatalf("observed %d stats for %d epochs", len(obs.stats), len(tl))
 	}
@@ -109,16 +109,16 @@ func TestTrainWithValidationObserver(t *testing.T) {
 		if !e.ValLossValid {
 			t.Fatalf("epoch %d: missing validation loss", i)
 		}
-		if e.ValLoss != vl[i] {
-			t.Fatalf("epoch %d: observer val loss %g != returned %g", i, e.ValLoss, vl[i])
+		if e.Loss != tl[i] {
+			t.Fatalf("epoch %d: observer loss %g != returned %g", i, e.Loss, tl[i])
 		}
 		if math.IsNaN(e.Loss) || math.IsNaN(e.ValLoss) {
 			t.Fatalf("epoch %d: non-finite losses %g/%g", i, e.Loss, e.ValLoss)
 		}
 	}
-	// The temporary suppression must not drop the installed observer.
+	// A validated run leaves the installed observer in place.
 	if net.Observer() != obs {
-		t.Fatal("observer lost after TrainWithValidation")
+		t.Fatal("observer lost after a validated run")
 	}
 }
 

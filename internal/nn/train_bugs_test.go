@@ -7,12 +7,10 @@ import (
 	"fillvoid/internal/telemetry"
 )
 
-// TestLRDecayAcrossTrainWithValidation pins the fix for the dead-decay
-// bug: TrainWithValidation drives training through one-epoch TrainEpochs
-// calls, and the decay schedule must fire on the lifetime epoch index,
-// not the (always-zero) per-call index. With LRDecayEvery=2 the applied
-// rate must halve at lifetime epochs 2 and 4, and the observer must
-// report the actually-applied rate.
+// TestLRDecayAcrossTrainWithValidation: in a validated run the decay
+// schedule fires on the lifetime epoch index. With LRDecayEvery=2 the
+// applied rate must halve at lifetime epochs 2 and 4, and the observer
+// must report the actually-applied rate.
 func TestLRDecayAcrossTrainWithValidation(t *testing.T) {
 	f := func(a, b float64) float64 { return a + b }
 	x, y := makeRegression(64, 7, f)
@@ -28,7 +26,7 @@ func TestLRDecayAcrossTrainWithValidation(t *testing.T) {
 	net.SetObserver(telemetry.ObserverFunc(func(e telemetry.EpochStat) {
 		rates = append(rates, e.LearningRate)
 	}))
-	if _, _, err := net.TrainWithValidation(x, y, vx, vy, 6, 100); err != nil {
+	if _, _, err := trainValidated(net, x, y, vx, vy, 6, 100); err != nil {
 		t.Fatal(err)
 	}
 	base := 1e-3 // Adam default

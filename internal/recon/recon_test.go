@@ -6,6 +6,7 @@ package recon_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -514,5 +515,55 @@ func TestNearestForPointListMatchesTable(t *testing.T) {
 		if idx[n] != fullIdx[gi[n]] || d2[n] != fullD2[gi[n]] {
 			t.Fatalf("point %d: (%d,%g), table has (%d,%g)", n, idx[n], d2[n], fullIdx[gi[n]], fullD2[gi[n]])
 		}
+	}
+}
+
+// BenchmarkNearestForBox times the nearest method's box queries, one
+// worker, on the Isabel analog at divisor 4 (62×62×12) with a 1 %
+// importance-sampled cloud: an 8×8×4 box (the serving benchmark's ROI
+// shape) and a 31×31×6 box, each on a fresh plan whose k-d tree is
+// built (fresh) and on a plan that holds the full-grid nearest table
+// (table).
+func BenchmarkNearestForBox(b *testing.B) {
+	gen := datasets.NewIsabel(1)
+	nx, ny, nz := gen.DefaultDims(4)
+	v := datasets.Volume(gen, nx, ny, nz, 6)
+	cloud, _, err := (&sampling.Importance{Seed: 7}).Sample(v, "pressure", 0.01)
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec := recon.SpecOf(v)
+	ctx := context.Background()
+	newPlan := func(b *testing.B) *recon.Plan {
+		p, err := recon.NewPlan(cloud, spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		p.Tree()
+		return p
+	}
+	for _, box := range []recon.Region{recon.Box(20, 20, 4, 28, 28, 8), recon.Box(0, 0, 0, 31, 31, 6)} {
+		bx, by, bz := box.Dims()
+		name := fmt.Sprintf("%dx%dx%d", bx, by, bz)
+		b.Run(name+"/fresh", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				p := newPlan(b)
+				b.StartTimer()
+				if _, _, err := p.NearestFor(ctx, box, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(name+"/table", func(b *testing.B) {
+			p := newPlan(b)
+			p.NearestTable(1)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := p.NearestFor(ctx, box, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
