@@ -78,10 +78,10 @@ train-smoke:
 # bit-identity and zero-alloc contracts; core's floor is lower because
 # its training half is exercised only outside -short; analysis holds
 # the lint suite's dataflow engine to the same bar as the code it
-# guards.
+# guards; telemetry's spans and traces are what every time claim reads.
 COVER_FLOORS = internal/recon:80 internal/kdtree:85 internal/nn:85 \
 	internal/features:85 internal/mathutil:85 internal/core:40 \
-	internal/analysis:80
+	internal/analysis:80 internal/telemetry:80
 
 cover:
 	$(GO) test -short -cover -coverprofile=cover.out ./...

@@ -21,7 +21,6 @@ import (
 
 	"fillvoid/internal/experiments"
 	"fillvoid/internal/telemetry"
-	"fillvoid/internal/trace"
 )
 
 func main() {
@@ -100,13 +99,9 @@ func main() {
 
 	for _, r := range runners {
 		start := time.Now()
-		// The trace root is named run/<id> so the telemetry span
-		// experiment/<id> nests under it instead of duplicating it.
-		ctx, rootSp := trace.Default().Start(context.Background(), "run/"+r.ID)
-		ctx, sp := telemetry.Default().Start(ctx, "experiment/"+r.ID)
+		ctx, sp := telemetry.Default().StartTrace(context.Background(), "experiment/"+r.ID, "")
 		res, err := r.Run(ctx, cfg)
 		sp.End()
-		rootSp.End()
 		wall := time.Since(start)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", r.ID, err)

@@ -34,22 +34,21 @@ import (
 	"fillvoid/internal/recon"
 	"fillvoid/internal/sampling"
 	"fillvoid/internal/telemetry"
-	"fillvoid/internal/trace"
 	"fillvoid/internal/vtk"
 )
 
 // startTelemetry applies the shared observability flags after
-// fs.Parse and opens the invocation's root trace span (a no-op without
-// -trace-out). It returns the root's context, which stage code traces
-// under, and a finish func that ends the root and merges
-// snapshot-write/trace-write/server-shutdown errors into the command's
-// named return error.
+// fs.Parse and opens the invocation's root span, cmd/<name> (a no-op
+// without -metrics-out, -pprof or -trace-out). It returns the root's
+// context, which stage code traces under, and a finish func that ends
+// the root and merges snapshot-write/trace-write/server-shutdown
+// errors into the command's named return error.
 func startTelemetry(name string, tf *telemetry.Flags, cmdErr *error) (ctx context.Context, finish func(), err error) {
 	stop, err := tf.Start()
 	if err != nil {
 		return nil, nil, err
 	}
-	ctx, root := trace.Default().Start(context.Background(), "cmd/"+name)
+	ctx, root := telemetry.Default().StartTrace(context.Background(), "cmd/"+name, "")
 	return ctx, func() {
 		if *cmdErr != nil {
 			root.SetError((*cmdErr).Error())

@@ -53,10 +53,6 @@ func cmdServe(args []string) (err error) {
 	}
 	defer finish()
 
-	// The service's own /metrics endpoint should always have data,
-	// independent of the -pprof/-metrics-out flags.
-	telemetry.Enable()
-
 	reg := interp.StandardRegistry(*workers)
 	if *model != "" {
 		r, err := core.LoadFile(*model)

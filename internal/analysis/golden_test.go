@@ -112,7 +112,7 @@ func TestGoldenFixtures(t *testing.T) {
 	}{
 		{"nondeterminism", func(p string) *Analyzer { return Nondeterminism([]string{p}) }},
 		{"rawgoroutine", func(string) *Analyzer { return RawGoroutine(nil) }},
-		{"spanpair", func(string) *Analyzer { return SpanPair(telemetryPkg, tracePkg) }},
+		{"spanpair", func(string) *Analyzer { return SpanPair(telemetryPkg) }},
 		{"ctxfirst", func(string) *Analyzer { return CtxFirst() }},
 		{"floateq", func(p string) *Analyzer { return FloatEq([]string{p}) }},
 		{"errdrop", func(string) *Analyzer { return ErrDrop(nil) }},

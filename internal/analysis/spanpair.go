@@ -7,8 +7,8 @@ import (
 
 // SpanPair returns the analyzer that pairs span begins with ends:
 // every call producing a Span from one of the given packages
-// (telemetry's Registry.Start and Span.Child, the trace roots
-// Tracer.Start/StartRemote, and anything added later with that result
+// (telemetry's Registry.Start and Span.Child, the trace root
+// Registry.StartTrace, and anything added later with that result
 // type) must either have its End called — directly or deferred —
 // somewhere in the enclosing declaration, or visibly escape (returned,
 // passed to another function, stored in a struct), in which case the
@@ -17,13 +17,13 @@ import (
 // returning a span inside a tuple, like Registry.Start's (ctx, span),
 // are checked on the span element.
 //
-// trace.FromContext, which borrows the context's already-open span
+// telemetry.FromContext, which borrows the context's already-open span
 // rather than starting one, is exempt: its caller observes a span
 // someone else owns and must NOT end it.
 //
 // spanPkgs are the package paths defining a Span type
-// (fillvoid/internal/telemetry and fillvoid/internal/trace for the
-// real suite; fixtures substitute their own).
+// (fillvoid/internal/telemetry for the real suite; fixtures substitute
+// their own).
 func SpanPair(spanPkgs ...string) *Analyzer {
 	return &Analyzer{
 		Name: "spanpair",
@@ -113,9 +113,9 @@ func checkSpansInBody(pass *Pass, spanPkgs []string, funcName string, body *ast.
 			switch node.Sel.Name {
 			case "End":
 				ended[obj] = true
-			case "Child", "Path", "SetAttr", "SetError", "TraceID", "ID", "Name":
+			case "Child", "Path", "SetAttr", "SetError", "TraceID", "ID", "Traceparent":
 				// Reading from or annotating the span keeps it open;
-				// neither ends nor transfers ownership. (StartChild's
+				// neither ends nor transfers ownership. (Child's
 				// result is itself a span the second pass checks.)
 			default:
 				escaped[obj] = true

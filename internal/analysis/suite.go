@@ -85,7 +85,6 @@ var (
 	}
 
 	telemetryPkg = "fillvoid/internal/telemetry"
-	tracePkg     = "fillvoid/internal/trace"
 )
 
 // DefaultSuite returns the full fillvoid-lint suite configured with
@@ -94,7 +93,7 @@ func DefaultSuite() *Suite {
 	s := &Suite{Analyzers: []*Analyzer{
 		Nondeterminism(deterministicPkgs),
 		RawGoroutine(goroutinePkgs),
-		SpanPair(telemetryPkg, tracePkg),
+		SpanPair(telemetryPkg),
 		CtxFirst(),
 		FloatEq(numericPkgs),
 		ErrDrop(errDropExclude),

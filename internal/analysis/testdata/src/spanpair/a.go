@@ -1,12 +1,11 @@
 // Package fixture exercises the spanpair check against the real
-// telemetry and trace Span types.
+// telemetry Span type.
 package fixture
 
 import (
 	"context"
 
 	"fillvoid/internal/telemetry"
-	"fillvoid/internal/trace"
 )
 
 // Registry.Start returns (ctx, span): the span element of the tuple
@@ -52,24 +51,24 @@ func childEnded(sp *telemetry.Span) {
 	child.End()
 }
 
-// Trace roots: Tracer.Start and StartRemote return (ctx, span) too.
-func rootLeaked(ctx context.Context, t *trace.Tracer) {
-	_, sp := t.Start(ctx, "root") // want "never ended"
+// Trace roots: Registry.StartTrace returns (ctx, span) too.
+func rootLeaked(ctx context.Context, reg *telemetry.Registry) {
+	_, sp := reg.StartTrace(ctx, "root", "") // want "never ended"
 	sp.SetAttr("k", "v")
 }
 
-func rootBlank(ctx context.Context, t *trace.Tracer, id trace.TraceID, parent trace.SpanID) {
-	_, _ = t.StartRemote(ctx, "root", id, parent) // want "span assigned to _"
+func rootBlank(ctx context.Context, reg *telemetry.Registry, traceparent string) {
+	_, _ = reg.StartTrace(ctx, "root", traceparent) // want "span assigned to _"
 }
 
-func rootEnded(ctx context.Context, t *trace.Tracer) context.Context {
-	ctx, sp := t.Start(ctx, "root")
+func rootEnded(ctx context.Context, reg *telemetry.Registry) context.Context {
+	ctx, sp := reg.StartTrace(ctx, "root", "")
 	defer sp.End()
 	return ctx
 }
 
 // FromContext borrows a span someone else owns; no End required.
 func borrowed(ctx context.Context) string {
-	sp := trace.FromContext(ctx)
-	return sp.Name()
+	sp := telemetry.FromContext(ctx)
+	return sp.Traceparent()
 }

@@ -17,7 +17,6 @@ import (
 	"fillvoid/internal/pointcloud"
 	"fillvoid/internal/recon"
 	"fillvoid/internal/telemetry"
-	"fillvoid/internal/trace"
 )
 
 // Wire mirrors of the server's public JSON (field tags must match
@@ -408,8 +407,8 @@ func (c *Cluster) request(ctx context.Context, m Member, method, path, kind stri
 	req.Header.Set(HeaderReplica, c.Self().ID)
 	// Propagate the caller's trace so the replica's spans stitch into
 	// the same tree (the server continues an incoming traceparent).
-	if sp := trace.FromContext(ctx); sp != nil {
-		req.Header.Set("traceparent", trace.FormatTraceparent(sp.TraceID(), sp.ID(), true))
+	if tp := telemetry.FromContext(ctx).Traceparent(); tp != "" {
+		req.Header.Set("traceparent", tp)
 	}
 	resp, err := c.cfg.Client.Do(req)
 	if err != nil {

@@ -20,7 +20,6 @@ import (
 	"fillvoid/internal/sampling"
 	"fillvoid/internal/server"
 	"fillvoid/internal/telemetry"
-	"fillvoid/internal/trace"
 )
 
 // isabelCloud reproduces the repo's golden fixture: one Isabel-analog
@@ -69,14 +68,13 @@ func post(t *testing.T, url string, body any) (int, []byte) {
 }
 
 type replica struct {
-	srv    *server.Server
-	cl     *cluster.Cluster
-	tel    *telemetry.Registry
-	tracer *trace.Tracer
-	url    string
+	srv *server.Server
+	cl  *cluster.Cluster
+	tel *telemetry.Registry
+	url string
 }
 
-// startCluster boots n replicas, each with its own registry and tracer,
+// startCluster boots n replicas, each with its own registry,
 // on ephemeral ports and binds them into one membership. Listener addresses only exist after Start, so the
 // clusters begin on placeholder URLs and are rebound via SetMembers —
 // the same late-binding flow the serve command uses.
@@ -102,11 +100,9 @@ func startCluster(t *testing.T, n, shards, threshold int) []replica {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tracer := trace.New(trace.Config{})
 		srv, err := server.New(server.Config{
 			Registry:  interp.StandardRegistry(2),
 			Telemetry: tel,
-			Tracer:    tracer,
 			Cluster:   cl,
 		})
 		if err != nil {
@@ -116,7 +112,7 @@ func startCluster(t *testing.T, n, shards, threshold int) []replica {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { srv.Close() })
-		reps[i] = replica{srv: srv, cl: cl, tel: tel, tracer: tracer, url: "http://" + srv.Addr()}
+		reps[i] = replica{srv: srv, cl: cl, tel: tel, url: "http://" + srv.Addr()}
 	}
 	members := make([]cluster.Member, n)
 	for i, r := range reps {
@@ -224,7 +220,7 @@ func TestShardedMatchesSingleReplicaGolden(t *testing.T) {
 // TestShardTracesJoinCallersTrace: a sharded box query sent with a
 // traceparent continues the caller's trace on every replica that ran a
 // shard, and each of those remote traces holds the engine's execute
-// stage — whichever replica's tracer was created last.
+// stage — whichever replica's registry was created last.
 func TestShardTracesJoinCallersTrace(t *testing.T) {
 	cloud, gj := isabelCloud(t)
 	cj := wireCloudOf(cloud)
@@ -233,7 +229,7 @@ func TestShardTracesJoinCallersTrace(t *testing.T) {
 		t.Fatalf("upload: %d %s", code, body)
 	}
 
-	caller := trace.NewTraceID()
+	caller := telemetry.NewTraceID()
 	b, err := json.Marshal(&server.ReconstructRequest{Method: "shepard", Cloud: cj, Grid: gj,
 		Region: server.RegionJSON{Box: &[6]int{0, 0, 0, 24, 24, 8}}})
 	if err != nil {
@@ -244,7 +240,7 @@ func TestShardTracesJoinCallersTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("traceparent", trace.FormatTraceparent(caller, trace.NewSpanID(), true))
+	req.Header.Set("traceparent", telemetry.FormatTraceparent(caller, telemetry.NewSpanID(), true))
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -272,7 +268,7 @@ func TestShardTracesJoinCallersTrace(t *testing.T) {
 		}
 		total += shards
 		executed := int64(0)
-		for _, td := range r.tracer.Traces() {
+		for _, td := range r.tel.Traces() {
 			if td.TraceID != caller {
 				continue
 			}

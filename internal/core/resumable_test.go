@@ -15,7 +15,6 @@ import (
 	"fillvoid/internal/pointcloud"
 	"fillvoid/internal/sampling"
 	"fillvoid/internal/telemetry"
-	"fillvoid/internal/trace"
 )
 
 // resumableOptions: a configuration small enough that a full pretrain
@@ -405,18 +404,18 @@ func TestFineTuneResumableFailedResumeLeavesModel(t *testing.T) {
 // trace must hang under that span: pretrain/sample under pretrain, not
 // under its sibling pretrain/feature-build.
 func TestPretrainTraceParentsFollowPaths(t *testing.T) {
-	prev := telemetry.SetDefault(telemetry.NewRegistry())
+	reg := telemetry.NewRegistry()
+	prev := telemetry.SetDefault(reg)
 	defer telemetry.SetDefault(prev)
-	tr := trace.New(trace.Config{})
-	ctx, root := tr.Start(context.Background(), "test")
+	ctx, root := reg.StartTrace(context.Background(), "test", "")
 	if _, err := PretrainResumable(ctx, resumableVolume(), "pressure", &sampling.Importance{Seed: 9},
 		resumableOptions(), Checkpointing{}); err != nil {
 		t.Fatal(err)
 	}
 	root.End()
 
-	td := tr.Traces()[0]
-	byName := map[string]trace.SpanRecord{}
+	td := reg.Traces()[0]
+	byName := map[string]telemetry.SpanRecord{}
 	for _, sp := range td.Spans {
 		if _, dup := byName[sp.Name]; dup {
 			t.Fatalf("span %q recorded twice", sp.Name)

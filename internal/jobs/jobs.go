@@ -584,11 +584,9 @@ func (m *Manager) run(j *job) {
 
 	tctx, sp := m.tel.Start(ctx, "jobs.train")
 	m.tel.Gauge("jobs.running").Add(1)
-	start := time.Now()
 	modelID, err := m.train(tctx, j, id, spec)
 	m.tel.Gauge("jobs.running").Add(-1)
 	sp.End()
-	m.tel.Histogram("jobs.train.seconds", nil).Observe(time.Since(start).Seconds())
 
 	j.mu.Lock()
 	j.cancel = nil

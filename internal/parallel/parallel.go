@@ -304,35 +304,3 @@ func Fork(a, b func()) {
 	<-done
 	rec.done(2)
 }
-
-// MapReduce applies fn(i) for every i in [0, n), each worker folding its
-// results into a worker-local accumulator created by newAcc; the
-// per-worker accumulators are then merged sequentially with merge.
-// It returns the merged accumulator (or newAcc() when n <= 0).
-func MapReduce[T any](n, workers int, newAcc func() T, fn func(i int, acc T) T, merge func(a, b T) T) T {
-	if workers <= 0 {
-		workers = DefaultWorkers()
-	}
-	if n <= 0 {
-		return newAcc()
-	}
-	if workers > n {
-		workers = n
-	}
-	accs := make([]T, workers)
-	ForChunked(n, workers, func(start, end int) {
-		// Identify which worker chunk this is from its start offset.
-		chunk := (n + workers - 1) / workers
-		w := start / chunk
-		acc := newAcc()
-		for i := start; i < end; i++ {
-			acc = fn(i, acc)
-		}
-		accs[w] = acc
-	})
-	out := accs[0]
-	for i := 1; i < workers; i++ {
-		out = merge(out, accs[i])
-	}
-	return out
-}

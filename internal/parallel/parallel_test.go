@@ -61,34 +61,6 @@ func TestForNegativeN(t *testing.T) {
 	}
 }
 
-func TestMapReduceSum(t *testing.T) {
-	for _, n := range []int{0, 1, 10, 1000, 12345} {
-		got := MapReduce(n, 0,
-			func() int64 { return 0 },
-			func(i int, acc int64) int64 { return acc + int64(i) },
-			func(a, b int64) int64 { return a + b },
-		)
-		want := int64(n) * int64(n-1) / 2
-		if n == 0 {
-			want = 0
-		}
-		if got != want {
-			t.Fatalf("n=%d: got %d want %d", n, got, want)
-		}
-	}
-}
-
-func TestMapReduceSingleWorker(t *testing.T) {
-	got := MapReduce(100, 1,
-		func() int { return 0 },
-		func(i, acc int) int { return acc + 1 },
-		func(a, b int) int { return a + b },
-	)
-	if got != 100 {
-		t.Fatalf("got %d", got)
-	}
-}
-
 func TestDefaultWorkersPositive(t *testing.T) {
 	if DefaultWorkers() < 1 {
 		t.Fatal("DefaultWorkers < 1")
@@ -197,7 +169,7 @@ func TestForChunkedCtxTilesCoverDisjointly(t *testing.T) {
 }
 
 // TestForChunkedStableChunkIndexAssumption pins the contract that
-// nn.(*Network).trainBatch and MapReduce build per-worker scratch on:
+// nn.(*Network).trainBatch builds per-worker scratch on:
 // for any (n, workers), ForChunked hands out at most one chunk per
 // worker, every chunk starts at a multiple of chunk = ceil(n/workers),
 // and therefore start/chunk is a collision-free worker index in
@@ -236,20 +208,6 @@ func TestForChunkedStableChunkIndexAssumption(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestMapReduceUnevenChunks exercises MapReduce where the final chunk is
-// partial (n not divisible by the chunk size), the configuration whose
-// accumulator slots depend on the start/chunk identity above.
-func TestMapReduceUnevenChunks(t *testing.T) {
-	n := 1003
-	sum := MapReduce(n, 7,
-		func() int { return 0 },
-		func(i int, acc int) int { return acc + i },
-		func(a, b int) int { return a + b })
-	if want := n * (n - 1) / 2; sum != want {
-		t.Fatalf("MapReduce sum = %d, want %d", sum, want)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"fillvoid/internal/telemetry"
-	"fillvoid/internal/trace"
 )
 
 // Concurrent traced requests each fan out through ForChunkedCtx; every
@@ -14,13 +13,13 @@ import (
 // request's root. Run under -race this also checks the span handoff to
 // the worker goroutines.
 func TestTracedFanOutStaysInOwnTree(t *testing.T) {
-	prev := telemetry.SetDefault(telemetry.NewRegistry())
+	reg := telemetry.NewRegistry()
+	prev := telemetry.SetDefault(reg)
 	defer telemetry.SetDefault(prev)
-	tr := trace.New(trace.Config{Capacity: 64})
 
 	const requests, workers, n = 16, 4, 1000
 	For(requests, requests, func(i int) {
-		ctx, root := tr.Start(context.Background(), "request")
+		ctx, root := reg.StartTrace(context.Background(), "request", "")
 		err := ForChunkedCtx(ctx, n, workers, func(start, end int) error { return nil })
 		if err != nil {
 			t.Error(err)
@@ -28,12 +27,12 @@ func TestTracedFanOutStaysInOwnTree(t *testing.T) {
 		root.End()
 	})
 
-	traces := tr.Traces()
+	traces := reg.Traces()
 	if len(traces) != requests {
 		t.Fatalf("kept %d traces, want %d", len(traces), requests)
 	}
 	for _, td := range traces {
-		byID := map[trace.SpanID]trace.SpanRecord{}
+		byID := map[telemetry.SpanID]telemetry.SpanRecord{}
 		for _, rec := range td.Spans {
 			byID[rec.SpanID] = rec
 		}

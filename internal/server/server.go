@@ -16,14 +16,17 @@
 //	GET  /debug/traces    kept request traces (Chrome trace-event JSON)
 //	     /debug/pprof/*   net/http/pprof, /debug/vars expvar
 //
-// Every request is traced: the handler opens a root span (continuing
-// the caller's W3C traceparent when one is sent, and echoing the trace
-// ID back in the response's traceparent header) and carries it in the
-// request context, so the telemetry spans of the stages that context
-// reaches — plan cache, execute, parallel workers — nest underneath it,
-// and the completed tree lands in the tracer's ring. Each request
-// also gets an X-Request-ID (stamped into error bodies and the access
-// log) and one structured access-log line.
+// Every request is traced: the handler opens a root span,
+// server/<endpoint> (continuing the caller's W3C traceparent when one
+// is sent, and echoing the trace ID back in the response's traceparent
+// header), and carries it in the request context, so the spans of the
+// stages that context reaches — plan cache, execute, parallel workers —
+// nest underneath it, and the completed tree lands in the ring of the
+// server's telemetry registry. The root span is the request's one
+// clock: its duration feeds /metrics (the server/<endpoint> span stats)
+// and the access log. Each request also gets an X-Request-ID (stamped
+// into error bodies and the access log) and one structured access-log
+// line.
 //
 // Admission is a bounded-concurrency semaphore with a bounded wait
 // queue: when every slot is busy a request waits up to QueueTimeout for
@@ -64,7 +67,6 @@ import (
 	"fillvoid/internal/pointcloud"
 	"fillvoid/internal/recon"
 	"fillvoid/internal/telemetry"
-	"fillvoid/internal/trace"
 )
 
 // Config configures the reconstruction service. The zero value of every
@@ -98,12 +100,10 @@ type Config struct {
 	// attempting an attacker-sized allocation (default 1<<26, i.e. a
 	// 512 MiB float64 volume).
 	MaxGridPoints int64
-	// Telemetry receives the server's metrics (default: the process
-	// global registry).
+	// Telemetry receives the server's metrics and keeps its request
+	// traces (default: the process global registry). New enables it,
+	// so serving always collects both.
 	Telemetry *telemetry.Registry
-	// Tracer receives per-request trace trees (default: the process
-	// global tracer). New enables it, so serving always collects traces.
-	Tracer *trace.Tracer
 	// Cluster, when set, makes this server one replica of a multi-replica
 	// serving cluster (see internal/cluster): plan keys route by
 	// consistent hash, large box queries fan out as shards. Nil serves
@@ -163,9 +163,6 @@ func (c Config) withDefaults() Config {
 	if c.Telemetry == nil {
 		c.Telemetry = telemetry.Default()
 	}
-	if c.Tracer == nil {
-		c.Tracer = trace.Default()
-	}
 	if c.ModelCacheSize <= 0 {
 		c.ModelCacheSize = 8
 	}
@@ -181,7 +178,6 @@ type Server struct {
 	cfg     Config
 	reg     *recon.Registry
 	tel     *telemetry.Registry
-	tracer  *trace.Tracer
 	plans   *planCache
 	clouds  *cloudStore
 	models  *jobs.ModelStore
@@ -206,11 +202,19 @@ func New(cfg Config) (*Server, error) {
 		return nil, errors.New("server: Config.Registry is required")
 	}
 	cfg = cfg.withDefaults()
+	// Serving without traces is flying blind: turn the server's
+	// registry on before anything it builds (caches, resumed training
+	// jobs) records into it. The engine (recon, parallel, core) opens
+	// its spans on the process-global registry, not the injected one,
+	// and a disabled registry opens none; enable it too, or a server
+	// handed its own registry would serve traces with no execute stages
+	// in them.
+	cfg.Telemetry.SetEnabled(true)
+	telemetry.Enable()
 	s := &Server{
 		cfg:     cfg,
 		reg:     cfg.Registry,
 		tel:     cfg.Telemetry,
-		tracer:  cfg.Tracer,
 		plans:   newPlanCache(cfg.PlanCacheSize, cfg.Telemetry),
 		clouds:  newCloudStore(cfg.CloudCacheSize, cfg.Telemetry),
 		cluster: cfg.Cluster,
@@ -244,15 +248,6 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.jobs = jm
 	}
-	// Serving without traces is flying blind: turn the tracer on. The
-	// engine (recon, parallel, core) opens its spans on the
-	// process-global registry, not the injected one, and a disabled
-	// registry opens none; enable it too, or a server handed its own
-	// registry would serve traces with no execute stages in them.
-	s.tracer.SetEnabled(true)
-	if def := telemetry.Default(); def != s.tel {
-		def.SetEnabled(true)
-	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/reconstruct", s.instrument("reconstruct", s.handleReconstruct))
 	mux.HandleFunc("POST /v1/clouds", s.instrument("clouds", s.handleClouds))
@@ -264,11 +259,7 @@ func New(cfg Config) (*Server, error) {
 	mux.HandleFunc("GET /v1/cluster", s.instrument("cluster", s.handleCluster))
 	mux.HandleFunc("GET /healthz", s.instrument("healthz", s.handleHealthz))
 	mux.Handle("GET /metrics", telemetry.MetricsHandler(s.tel))
-	telemetry.RegisterDebug(mux)
-	// RegisterDebug mounted /debug/traces for the process-global tracer;
-	// this method-specific pattern takes precedence and serves the
-	// server's own ring instead.
-	mux.Handle("GET /debug/traces", trace.Handler(s.tracer))
+	telemetry.RegisterDebug(mux, s.tel)
 	s.mux = mux
 	return s, nil
 }
@@ -389,39 +380,26 @@ func setCacheNote(w http.ResponseWriter, note string) {
 	}
 }
 
-// instrument wraps a handler with per-request observability: a trace
-// root span (continuing an incoming W3C traceparent and echoing the
-// trace ID back), an X-Request-ID header stamped into error bodies,
-// the per-endpoint latency histogram and request/error counters, and
-// one structured access-log line.
+// instrument wraps a handler with per-request observability: a root
+// span, server/<name> (continuing an incoming W3C traceparent and
+// echoing the trace ID back), an X-Request-ID header stamped into
+// error bodies, request/error counters, and one structured access-log
+// line whose duration is the root span's.
 func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		reqID := trace.NewSpanID().String()
-		ctx := r.Context()
-		var sp *trace.Span
-		if tp := r.Header.Get("traceparent"); tp != "" {
-			if tid, sid, _, err := trace.ParseTraceparent(tp); err == nil {
-				ctx, sp = s.tracer.StartRemote(ctx, "server/"+name, tid, sid)
-			}
-		}
-		if sp == nil {
-			ctx, sp = s.tracer.Start(ctx, "server/"+name)
-		}
+		ctx, sp := s.tel.StartTrace(r.Context(), "server/"+name, r.Header.Get("traceparent"))
+		reqID := telemetry.NewSpanID().String()
 		route := r.Method + " " + r.URL.Path
 		sp.SetAttr("request_id", reqID)
 		sp.SetAttr("route", route)
 		w.Header().Set("X-Request-ID", reqID)
-		traceID := ""
-		if tid := sp.TraceID(); !tid.IsZero() {
-			traceID = tid.String()
-			w.Header().Set("traceparent", trace.FormatTraceparent(tid, sp.ID(), true))
+		if tp := sp.Traceparent(); tp != "" {
+			w.Header().Set("traceparent", tp)
 		}
 
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK, reqID: reqID}
 		h(sw, r.WithContext(ctx))
 
-		d := time.Since(start)
 		sp.SetAttr("status", strconv.Itoa(sw.code))
 		if sw.cache != "" {
 			sp.SetAttr("plan_cache", sw.cache)
@@ -433,9 +411,8 @@ func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 			}
 			sp.SetError(msg)
 		}
-		sp.End()
+		d := sp.End()
 
-		s.tel.Histogram("server."+name+".seconds", nil).Observe(d.Seconds())
 		s.tel.Counter("server." + name + ".requests").Inc()
 		if sw.code >= 400 {
 			s.tel.Counter(fmt.Sprintf("server.%s.errors.%dxx", name, sw.code/100)).Inc()
@@ -448,8 +425,8 @@ func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 			"bytes", sw.bytes,
 			"duration_ms", float64(d) / float64(time.Millisecond),
 		}
-		if traceID != "" {
-			kv = append(kv, "trace_id", traceID)
+		if tid := sp.TraceID(); !tid.IsZero() {
+			kv = append(kv, "trace_id", tid.String())
 		}
 		if sw.cache != "" {
 			kv = append(kv, "plan_cache", sw.cache)

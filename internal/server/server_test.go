@@ -182,8 +182,12 @@ func TestConcurrentROIRequestsShareOnePlan(t *testing.T) {
 	if got := s.inFlight.Load(); got != 0 {
 		t.Fatalf("in-flight count %d after drain", got)
 	}
-	if c := tel.Histogram("server.reconstruct.seconds", nil).Count(); c != int64(clients)+1 {
-		t.Fatalf("latency histogram has %d observations, want %d", c, clients+1)
+	var roots int64
+	if st := tel.SpanStatFor("server/reconstruct"); st != nil {
+		roots = st.Count()
+	}
+	if roots != int64(clients)+1 {
+		t.Fatalf("server/reconstruct span ended %d times, want %d", roots, clients+1)
 	}
 }
 

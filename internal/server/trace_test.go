@@ -6,11 +6,12 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"fillvoid/internal/telemetry"
-	"fillvoid/internal/trace"
 )
 
 // postTraced posts a reconstruct request with an optional traceparent
@@ -38,18 +39,18 @@ func postTraced(t *testing.T, url string, body any, traceparent string) *http.Re
 }
 
 func TestTraceparentRoundTripAndDebugTraces(t *testing.T) {
-	tr := trace.New(trace.Config{})
-	_, base := startServer(t, Config{Tracer: tr})
+	tel := telemetry.NewRegistry()
+	_, base := startServer(t, Config{Telemetry: tel})
 
-	upstream := trace.NewTraceID()
-	parentSpan := trace.NewSpanID()
+	upstream := telemetry.NewTraceID()
+	parentSpan := telemetry.NewSpanID()
 	reqBody := &ReconstructRequest{
 		Method: "linear",
 		Cloud:  testCloud(200, 7),
 		Grid:   testGrid(),
 	}
 	resp := postTraced(t, base+"/v1/reconstruct", reqBody,
-		trace.FormatTraceparent(upstream, parentSpan, true))
+		telemetry.FormatTraceparent(upstream, parentSpan, true))
 	io.Copy(io.Discard, resp.Body) //lint:allow errdrop: draining a test response body
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
@@ -57,7 +58,7 @@ func TestTraceparentRoundTripAndDebugTraces(t *testing.T) {
 
 	// The response must continue OUR trace, not invent a new one.
 	tp := resp.Header.Get("traceparent")
-	gotTID, _, _, err := trace.ParseTraceparent(tp)
+	gotTID, _, _, err := telemetry.ParseTraceparent(tp)
 	if err != nil {
 		t.Fatalf("response traceparent %q: %v", tp, err)
 	}
@@ -70,14 +71,14 @@ func TestTraceparentRoundTripAndDebugTraces(t *testing.T) {
 
 	// The completed trace is in the ring, marked remote, with the
 	// handler root parented under the upstream span.
-	td := tr.TraceByID(upstream)
+	td := tel.TraceByID(upstream)
 	if td == nil {
 		t.Fatal("trace not kept in ring")
 	}
 	if !td.Remote {
 		t.Fatal("continued trace must be marked remote")
 	}
-	names := map[string]trace.SpanRecord{}
+	names := map[string]telemetry.SpanRecord{}
 	for _, sp := range td.Spans {
 		names[sp.Name] = sp
 	}
@@ -132,8 +133,8 @@ func TestTraceparentRoundTripAndDebugTraces(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp3.Body.Close()
-	ct, err := trace.ParseChrome(resp3.Body)
-	if err != nil {
+	var ct telemetry.ChromeTrace
+	if err := json.NewDecoder(resp3.Body).Decode(&ct); err != nil {
 		t.Fatal(err)
 	}
 	if len(ct.TraceEvents) != len(td.Spans) {
@@ -141,17 +142,17 @@ func TestTraceparentRoundTripAndDebugTraces(t *testing.T) {
 	}
 }
 
-// Two servers in one process, each with its own tracer: each server's
+// Two servers in one process, each with its own registry: each server's
 // request tree must hold the engine stages its request ran, with
 // recon/execute between the root and the parallel workers.
 func TestTwoServersKeepOwnTraceTrees(t *testing.T) {
-	tracers := []*trace.Tracer{trace.New(trace.Config{}), trace.New(trace.Config{})}
+	regs := []*telemetry.Registry{telemetry.NewRegistry(), telemetry.NewRegistry()}
 	var bases []string
-	for _, tr := range tracers {
-		_, base := startServer(t, Config{Tracer: tr})
+	for _, tel := range regs {
+		_, base := startServer(t, Config{Telemetry: tel})
 		bases = append(bases, base)
 	}
-	for i, tr := range tracers {
+	for i, tel := range regs {
 		resp := postTraced(t, bases[i]+"/v1/reconstruct", &ReconstructRequest{
 			Method: "linear",
 			Cloud:  testCloud(200, 7),
@@ -161,18 +162,18 @@ func TestTwoServersKeepOwnTraceTrees(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("server %d: status %d", i, resp.StatusCode)
 		}
-		tid, _, _, err := trace.ParseTraceparent(resp.Header.Get("traceparent"))
+		tid, _, _, err := telemetry.ParseTraceparent(resp.Header.Get("traceparent"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		td := tr.TraceByID(tid)
+		td := tel.TraceByID(tid)
 		if td == nil {
 			t.Fatalf("server %d kept no trace for its request", i)
 		}
 		if depth := maxDepth(td); depth < 4 {
 			t.Fatalf("server %d: trace depth %d, want >= 4; spans: %v", i, depth, spanNames(td))
 		}
-		byID := map[trace.SpanID]trace.SpanRecord{}
+		byID := map[telemetry.SpanID]telemetry.SpanRecord{}
 		for _, sp := range td.Spans {
 			byID[sp.SpanID] = sp
 		}
@@ -193,7 +194,7 @@ func TestTwoServersKeepOwnTraceTrees(t *testing.T) {
 }
 
 // spanNames lists a trace's span names for failure messages.
-func spanNames(td *trace.TraceData) []string {
+func spanNames(td *telemetry.TraceData) []string {
 	var out []string
 	for _, sp := range td.Spans {
 		out = append(out, sp.Name)
@@ -201,15 +202,15 @@ func spanNames(td *trace.TraceData) []string {
 	return out
 }
 
-// maxDepth computes the deepest parent chain in a trace.
-func maxDepth(td *trace.TraceData) int {
-	depthOf := map[trace.SpanID]int{}
-	byID := map[trace.SpanID]trace.SpanRecord{}
+// maxDepth computes the deepest parent chain in a telemetry.
+func maxDepth(td *telemetry.TraceData) int {
+	depthOf := map[telemetry.SpanID]int{}
+	byID := map[telemetry.SpanID]telemetry.SpanRecord{}
 	for _, sp := range td.Spans {
 		byID[sp.SpanID] = sp
 	}
-	var walk func(id trace.SpanID) int
-	walk = func(id trace.SpanID) int {
+	var walk func(id telemetry.SpanID) int
+	walk = func(id telemetry.SpanID) int {
 		if d, ok := depthOf[id]; ok {
 			return d
 		}
@@ -232,8 +233,8 @@ func maxDepth(td *trace.TraceData) int {
 }
 
 func TestFreshTraceWithoutTraceparent(t *testing.T) {
-	tr := trace.New(trace.Config{})
-	_, base := startServer(t, Config{Tracer: tr})
+	tel := telemetry.NewRegistry()
+	_, base := startServer(t, Config{Telemetry: tel})
 	resp := postTraced(t, base+"/v1/reconstruct", &ReconstructRequest{
 		Method: "nearest",
 		Cloud:  testCloud(50, 3),
@@ -244,11 +245,11 @@ func TestFreshTraceWithoutTraceparent(t *testing.T) {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
 	tp := resp.Header.Get("traceparent")
-	tid, _, _, err := trace.ParseTraceparent(tp)
+	tid, _, _, err := telemetry.ParseTraceparent(tp)
 	if err != nil {
 		t.Fatalf("no valid traceparent on response: %q %v", tp, err)
 	}
-	td := tr.TraceByID(tid)
+	td := tel.TraceByID(tid)
 	if td == nil {
 		t.Fatal("fresh trace not kept")
 	}
@@ -258,8 +259,8 @@ func TestFreshTraceWithoutTraceparent(t *testing.T) {
 }
 
 func TestErrorResponseCarriesRequestID(t *testing.T) {
-	tr := trace.New(trace.Config{})
-	_, base := startServer(t, Config{Tracer: tr})
+	tel := telemetry.NewRegistry()
+	_, base := startServer(t, Config{Telemetry: tel})
 	resp := postTraced(t, base+"/v1/reconstruct", map[string]any{"method": "no-such"}, "")
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {
@@ -283,8 +284,8 @@ func TestErrorResponseCarriesRequestID(t *testing.T) {
 	}
 	// Error traces are always kept by the tail sampler, with the
 	// failure recorded on the root span.
-	var errTrace *trace.TraceData
-	for _, td := range tr.Traces() {
+	var errTrace *telemetry.TraceData
+	for _, td := range tel.Traces() {
 		if td.Error != "" {
 			errTrace = td
 		}
@@ -304,8 +305,8 @@ func TestAccessLogLine(t *testing.T) {
 	telemetry.SetLogLevel(telemetry.LevelInfo)
 	defer telemetry.SetLogLevel(telemetry.LevelWarn)
 
-	tr := trace.New(trace.Config{})
-	_, base := startServer(t, Config{Tracer: tr})
+	tel := telemetry.NewRegistry()
+	_, base := startServer(t, Config{Telemetry: tel})
 	resp := postTraced(t, base+"/v1/reconstruct", &ReconstructRequest{
 		Method: "nearest",
 		Cloud:  testCloud(50, 11),
@@ -348,5 +349,67 @@ func TestAccessLogLine(t *testing.T) {
 	warnLog := buf.String()
 	if !strings.Contains(warnLog, "status=400") || !strings.Contains(warnLog, "error=") {
 		t.Fatalf("no warn access log for failed request:\n%s", warnLog)
+	}
+}
+
+// One request, one clock: the access log's duration_ms, the last_ns of
+// the server/reconstruct span in /metrics and the trace root's
+// duration_ns are the same measurement.
+func TestOneRequestOneClock(t *testing.T) {
+	var buf bytes.Buffer
+	telemetry.SetLogOutput(&buf)
+	defer telemetry.SetLogOutput(os.Stderr)
+	telemetry.SetLogLevel(telemetry.LevelInfo)
+	defer telemetry.SetLogLevel(telemetry.LevelWarn)
+
+	tel := telemetry.NewRegistry()
+	_, base := startServer(t, Config{Telemetry: tel})
+	resp := postTraced(t, base+"/v1/reconstruct", &ReconstructRequest{
+		Method: "nearest",
+		Cloud:  testCloud(50, 5),
+		Grid:   testGrid(),
+	}, "")
+	io.Copy(io.Discard, resp.Body) //lint:allow errdrop: draining a test response body
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+
+	var logged float64 = -1
+	for _, field := range strings.Fields(buf.String()) {
+		if v, ok := strings.CutPrefix(field, "duration_ms="); ok {
+			var err error
+			if logged, err = strconv.ParseFloat(v, 64); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if logged < 0 {
+		t.Fatalf("no duration_ms in the access log:\n%s", buf.String())
+	}
+
+	mresp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mresp.Body.Close()
+	snap, err := telemetry.ReadSnapshot(mresp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, ok := snap.Spans["server/reconstruct"]
+	if !ok || st.Count != 1 {
+		t.Fatalf("/metrics spans %v: want server/reconstruct once", snap.SpanPaths())
+	}
+
+	tid, _, _, err := telemetry.ParseTraceparent(resp.Header.Get("traceparent"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	td := tel.TraceByID(tid)
+	if td == nil {
+		t.Fatal("request trace not kept")
+	}
+	if td.DurationNS != st.LastNS || logged != float64(st.LastNS)/float64(time.Millisecond) {
+		t.Fatalf("three clocks: access log %v ms, /metrics %d ns, trace root %d ns", logged, st.LastNS, td.DurationNS)
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"flag"
 	"fmt"
 	"time"
-
-	"fillvoid/internal/trace"
 )
 
 // Flags bundles the standard observability CLI flags shared by the
@@ -38,13 +36,13 @@ func RegisterFlags(fs *flag.FlagSet) *Flags {
 }
 
 // Start applies the parsed flags: sets the log level, enables the
-// default registry when any output is requested (plus a 1s runtime
-// sampler feeding heap/GC/goroutine/sched-latency metrics into it),
-// enables the default tracer for -trace-out, and starts the HTTP
-// server when -pprof is given. The returned stop function writes the
-// -metrics-out snapshot and the -trace-out file (if any), stops the
-// sampler and closes the server; call it once, after the command's
-// work is done.
+// default registry, and with it its traces, when any output is
+// requested (plus, for -metrics-out and -pprof, a 1s runtime sampler
+// feeding heap/GC/goroutine/sched-latency metrics into it), and starts
+// the HTTP server when -pprof is given. The returned stop function
+// writes the -metrics-out snapshot and the -trace-out file (if any),
+// stops the sampler and closes the server; call it once, after the
+// command's work and its root span are done.
 func (f *Flags) Start() (stop func() error, err error) {
 	level, err := ParseLevel(f.LogLevel)
 	if err != nil {
@@ -53,15 +51,11 @@ func (f *Flags) Start() (stop func() error, err error) {
 	SetLogLevel(level)
 	var srv *Server
 	var sampler *RuntimeSampler
-	if f.MetricsOut != "" || f.PprofAddr != "" {
+	if f.MetricsOut != "" || f.PprofAddr != "" || f.TraceOut != "" {
 		Enable()
-		sampler = StartRuntimeSampler(Default(), time.Second)
 	}
-	if f.TraceOut != "" {
-		// Trace records are written by telemetry spans, so tracing
-		// needs the registry on too.
-		Enable()
-		trace.Enable()
+	if f.MetricsOut != "" || f.PprofAddr != "" {
+		sampler = StartRuntimeSampler(Default(), time.Second)
 	}
 	if f.PprofAddr != "" {
 		srv, err = Serve(f.PprofAddr, Default())
@@ -83,8 +77,8 @@ func (f *Flags) Start() (stop func() error, err error) {
 			}
 		}
 		if f.TraceOut != "" {
-			traces := trace.Default().Traces()
-			if err := trace.WriteChromeFile(f.TraceOut, traces); err != nil {
+			traces := Default().Traces()
+			if err := writeChromeFile(f.TraceOut, traces); err != nil {
 				if firstErr == nil {
 					firstErr = err
 				}

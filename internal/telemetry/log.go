@@ -88,9 +88,6 @@ func NewLogger(w io.Writer, level Level) *Logger {
 // SetLevel changes the minimum recorded level.
 func (l *Logger) SetLevel(level Level) { l.level.Store(int32(level)) }
 
-// GetLevel returns the current minimum level.
-func (l *Logger) GetLevel() Level { return Level(l.level.Load()) }
-
 // SetOutput redirects the logger.
 func (l *Logger) SetOutput(w io.Writer) {
 	l.mu.Lock()
@@ -146,14 +143,10 @@ func quoteIfNeeded(s string) string {
 // -log-level flag (or SetLogLevel) adjusts it.
 var defaultLogger = NewLogger(os.Stderr, LevelWarn)
 
-// Log emits a record through the package-level logger.
-func Log(level Level, msg string, kv ...any) { defaultLogger.Log(level, msg, kv...) }
-
-// Debugf, Infof, Warnf, Errorf log through the package-level logger.
+// Debugf, Infof, Warnf log through the package-level logger.
 func Debugf(msg string, kv ...any) { defaultLogger.Debugf(msg, kv...) }
 func Infof(msg string, kv ...any)  { defaultLogger.Infof(msg, kv...) }
 func Warnf(msg string, kv ...any)  { defaultLogger.Warnf(msg, kv...) }
-func Errorf(msg string, kv ...any) { defaultLogger.Errorf(msg, kv...) }
 
 // SetLogLevel adjusts the package-level logger's threshold.
 func SetLogLevel(level Level) { defaultLogger.SetLevel(level) }

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -81,23 +82,49 @@ func TestMetricsHandler(t *testing.T) {
 }
 
 func TestRegisterDebugHandler(t *testing.T) {
+	r := NewRegistry()
+	_, sp := r.StartTrace(context.Background(), "req", "")
+	sp.SetError("boom")
+	sp.End()
 	mux := http.NewServeMux()
-	RegisterDebug(mux)
-	// /debug/traces serves the default tracer's index.
-	rec := httptest.NewRecorder()
-	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/traces", nil))
+	RegisterDebug(mux, r)
+	get := func(target string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest("GET", target, nil))
+		return rec
+	}
+
+	// /debug/traces serves the registry's index.
+	rec := get("/debug/traces")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("/debug/traces status %d", rec.Code)
 	}
-	var idx struct {
-		Traces []json.RawMessage `json:"traces"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &idx); err != nil || idx.Traces == nil {
+	var idx tracesIndex
+	if err := json.Unmarshal(rec.Body.Bytes(), &idx); err != nil || len(idx.Traces) != 1 {
 		t.Fatalf("/debug/traces is not a trace index: %v %s", err, rec.Body.Bytes())
 	}
+	row := idx.Traces[0]
+	if !idx.Enabled || idx.Started != 1 || idx.Kept != 1 || row.Name != "req" ||
+		row.TraceID != sp.TraceID().String() || row.KeepReason != "error" || row.Error != "boom" || row.Spans != 1 {
+		t.Fatalf("index %+v", idx)
+	}
+	// ?id= and ?format=chrome serve trace-event JSON; bad or unknown
+	// ids are client errors.
+	for _, target := range []string{"/debug/traces?id=" + row.TraceID, "/debug/traces?format=chrome"} {
+		rec := get(target)
+		var ct ChromeTrace
+		if err := json.Unmarshal(rec.Body.Bytes(), &ct); err != nil || len(ct.TraceEvents) != 1 {
+			t.Fatalf("%s: %d %v %s", target, rec.Code, err, rec.Body.Bytes())
+		}
+	}
+	if code := get("/debug/traces?id=xyz").Code; code != http.StatusBadRequest {
+		t.Fatalf("malformed id: status %d", code)
+	}
+	if code := get("/debug/traces?id=" + NewTraceID().String()).Code; code != http.StatusNotFound {
+		t.Fatalf("unknown id: status %d", code)
+	}
 	// pprof is mounted alongside.
-	rec = httptest.NewRecorder()
-	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/pprof/cmdline", nil))
+	rec = get("/debug/pprof/cmdline")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("pprof route lost: %d", rec.Code)
 	}

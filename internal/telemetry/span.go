@@ -4,9 +4,8 @@ import (
 	"context"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
-
-	"fillvoid/internal/trace"
 )
 
 // spanReservoirSize is the per-path sample cap for quantile tracking:
@@ -109,45 +108,98 @@ func (s *SpanStat) Last() time.Duration {
 	return s.last
 }
 
-// Span is one in-flight timed stage. Spans carry a hierarchical label
-// path ("pretrain/feature-build"); children created with Child extend
-// the path. When the span was started under a live trace it also owns
-// that trace's record of the stage, so /metrics and the trace tree
-// report the same start and duration. A nil Span (what a disabled
-// registry hands out) is a valid no-op, so instrumentation sites never
-// branch.
+// Span is one in-flight timed stage, the only span type in the
+// module. It carries a hierarchical label path ("pretrain/feature-build");
+// children created with Child extend the path. A span that belongs to
+// a trace also carries its trace, its own span ID, its parent's, and
+// the attributes and error its trace record will hold. End takes one
+// measurement and writes both the per-path aggregate and, in a trace,
+// the trace record, so /metrics and the trace tree cannot disagree. A
+// nil Span (what a disabled registry hands out) is a valid no-op, so
+// instrumentation sites never branch.
 type Span struct {
 	r     *Registry
 	path  string
 	start time.Time
-	trace *trace.Span
+	ended atomic.Bool // guards both records: only the first End writes
+	t     *traced     // nil for an untraced span
 }
 
-// Start begins a stage timer labelled path. When ctx carries a live trace
-// span, the stage is also recorded in that trace as its child, and the
-// returned context carries the stage's trace span so spans started
-// under it nest there. Without a trace the context is returned as is.
-// A disabled registry returns (ctx, nil); nil spans no-op everywhere.
+// traced is a span's part in its trace, allocated only for spans in a
+// trace so an untraced span stays one small allocation.
+type traced struct {
+	tr     *activeTrace
+	id     SpanID
+	parent SpanID // zero for a fresh root
+
+	mu     sync.Mutex
+	attrs  []Attr
+	errMsg string
+}
+
+// ctxKey keys the traced span stored in a context.
+type ctxKey struct{}
+
+// FromContext returns the traced span ctx carries, or nil. The span is
+// borrowed: its opener ends it.
+func FromContext(ctx context.Context) *Span {
+	sp, _ := ctx.Value(ctxKey{}).(*Span)
+	return sp
+}
+
+// Start begins a stage timer labelled path. When ctx carries a traced
+// span, the stage joins that trace as its child, and the returned
+// context carries the stage so spans started under it nest there.
+// Without a trace the context is returned as is. A disabled registry
+// returns (ctx, nil); nil spans no-op everywhere.
 func (r *Registry) Start(ctx context.Context, path string) (context.Context, *Span) {
 	if !r.enabled.Load() {
 		return ctx, nil
 	}
 	s := &Span{r: r, path: path, start: time.Now()}
-	if parent := trace.FromContext(ctx); parent != nil {
-		s.trace = parent.StartChild(path, s.start)
-		ctx = trace.ContextWith(ctx, s.trace)
+	if parent := FromContext(ctx); parent != nil {
+		s.t = &traced{tr: parent.t.tr, id: NewSpanID(), parent: parent.t.id}
+		ctx = context.WithValue(ctx, ctxKey{}, s)
 	}
 	return ctx, s
 }
 
-// Child begins a nested span labelled parent-path/name. Its trace
-// parent, if any, is s.
+// StartTrace opens the root span of a new trace, labelled path. A
+// well-formed W3C traceparent continues the caller's trace: the root
+// keeps its trace ID, parents under its span, and the trace is marked
+// remote. Anything else, "" included, starts a fresh trace. Any span
+// ctx already carries is ignored. The returned context carries the
+// root, so stages started under it nest there; when the root ends, the
+// trace lands in r's ring. A disabled registry returns (ctx, nil).
+func (r *Registry) StartTrace(ctx context.Context, path, traceparent string) (context.Context, *Span) {
+	if !r.enabled.Load() {
+		return ctx, nil
+	}
+	t := &traced{id: NewSpanID()}
+	t.tr = &activeTrace{reg: r, rootID: t.id}
+	if traceparent != "" {
+		if tid, pid, _, err := ParseTraceparent(traceparent); err == nil {
+			t.tr.id, t.tr.remote, t.parent = tid, true, pid
+		}
+	}
+	if t.tr.id.IsZero() {
+		t.tr.id = NewTraceID()
+	}
+	s := &Span{r: r, path: path, start: time.Now(), t: t}
+	r.tracesStarted.Add(1)
+	return context.WithValue(ctx, ctxKey{}, s), s
+}
+
+// Child begins a nested span labelled parent-path/name. In a trace,
+// its parent is s.
 func (s *Span) Child(name string) *Span {
 	if s == nil {
 		return nil
 	}
 	c := &Span{r: s.r, path: s.path + "/" + name, start: time.Now()}
-	c.trace = s.trace.StartChild(c.path, c.start)
+	if s.t != nil {
+		c.t = &traced{tr: s.t.tr, id: NewSpanID(), parent: s.t.id}
+	}
 	return c
 }
 
@@ -159,33 +211,82 @@ func (s *Span) Path() string {
 	return s.path
 }
 
+// ID returns the span's own ID (zero for nil or untraced spans).
+func (s *Span) ID() SpanID {
+	if s == nil || s.t == nil {
+		return SpanID{}
+	}
+	return s.t.id
+}
+
+// TraceID returns the ID of the span's trace (zero for nil or untraced
+// spans).
+func (s *Span) TraceID() TraceID {
+	if s == nil || s.t == nil {
+		return TraceID{}
+	}
+	return s.t.tr.id
+}
+
+// Traceparent returns the W3C traceparent header that continues the
+// span's trace under it, for a response echo or an outgoing request
+// ("" for nil or untraced spans).
+func (s *Span) Traceparent() string {
+	if s == nil || s.t == nil {
+		return ""
+	}
+	return FormatTraceparent(s.t.tr.id, s.t.id, true)
+}
+
 // SetAttr annotates the span's trace record (no-op without a trace).
+// Later values for the same key are appended, not deduplicated;
+// exports render them in order.
 func (s *Span) SetAttr(key, value string) {
-	if s == nil {
+	if s == nil || s.t == nil {
 		return
 	}
-	s.trace.SetAttr(key, value)
+	s.t.mu.Lock()
+	s.t.attrs = append(s.t.attrs, Attr{Key: key, Value: value})
+	s.t.mu.Unlock()
 }
 
 // SetError marks the span's trace record as failed (no-op without a
-// trace).
+// trace or for an empty msg); a trace whose root failed is labelled
+// "error" in the ring.
 func (s *Span) SetError(msg string) {
-	if s == nil {
+	if s == nil || s.t == nil || msg == "" {
 		return
 	}
-	s.trace.SetError(msg)
+	s.t.mu.Lock()
+	s.t.errMsg = msg
+	s.t.mu.Unlock()
 }
 
-// End stops the span, records its duration under the label path and,
-// under a trace, in the trace record; it returns the elapsed time (0
-// for nil).
+// End stops the span and records one measurement: the duration under
+// the label path and, in a trace, the trace record with the same start
+// and duration; ending a root moves its trace into the ring. It returns
+// the elapsed time. Only the first End records; later calls, and nil
+// spans, return 0.
 func (s *Span) End() time.Duration {
-	if s == nil {
+	if s == nil || s.ended.Swap(true) {
 		return 0
 	}
 	d := time.Since(s.start)
 	s.r.spanStat(s.path).record(d)
-	s.trace.EndWith(d)
+	if t := s.t; t != nil {
+		t.mu.Lock()
+		rec := SpanRecord{
+			Name:        s.path,
+			SpanID:      t.id,
+			ParentID:    t.parent,
+			StartUnixNS: s.start.UnixNano(),
+			DurationNS:  int64(d),
+			Attrs:       t.attrs,
+			Error:       t.errMsg,
+		}
+		t.mu.Unlock()
+		t.tr.record(rec)
+	}
 	return d
 }
 

@@ -1,24 +1,21 @@
 package telemetry
 
 import (
-	"bytes"
 	"context"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
-
-	"fillvoid/internal/trace"
 )
 
-// tracedSpans returns the records of tr's only kept trace by name.
-func tracedSpans(t *testing.T, tr *trace.Tracer) map[string]trace.SpanRecord {
+// tracedSpans returns the records of r's only kept trace by name.
+func tracedSpans(t *testing.T, r *Registry) map[string]SpanRecord {
 	t.Helper()
-	traces := tr.Traces()
+	traces := r.Traces()
 	if len(traces) != 1 {
 		t.Fatalf("want 1 kept trace, got %d", len(traces))
 	}
-	byName := map[string]trace.SpanRecord{}
+	byName := map[string]SpanRecord{}
 	for _, rec := range traces[0].Spans {
 		byName[rec.Name] = rec
 	}
@@ -27,8 +24,7 @@ func tracedSpans(t *testing.T, tr *trace.Tracer) map[string]trace.SpanRecord {
 
 func TestStartTracedCtx(t *testing.T) {
 	r := NewRegistry()
-	tr := trace.New(trace.Config{})
-	ctx, root := tr.Start(context.Background(), "root")
+	ctx, rt := root(r, "root")
 
 	sctx, stage := r.Start(ctx, "stage")
 	stage.SetAttr("k", "v")
@@ -38,13 +34,13 @@ func TestStartTracedCtx(t *testing.T) {
 	child.SetError("boom")
 	child.End()
 	d := stage.End()
-	root.End()
+	rt.End()
 
-	byName := tracedSpans(t, tr)
+	byName := tracedSpans(t, r)
 	if len(byName) != 4 {
 		t.Fatalf("want root, stage, inner and stage/child, got %v", byName)
 	}
-	if byName["stage"].ParentID != root.ID() {
+	if byName["stage"].ParentID != rt.ID() {
 		t.Fatal("stage must parent under the ctx's span")
 	}
 	if byName["inner"].ParentID != byName["stage"].SpanID {
@@ -53,7 +49,7 @@ func TestStartTracedCtx(t *testing.T) {
 	if byName["stage/child"].ParentID != byName["stage"].SpanID {
 		t.Fatal("Child must parent under the span it is called on")
 	}
-	if a := byName["stage"].Attrs; len(a) != 1 || a[0] != (trace.Attr{Key: "k", Value: "v"}) {
+	if a := byName["stage"].Attrs; len(a) != 1 || a[0] != (Attr{Key: "k", Value: "v"}) {
 		t.Fatalf("stage attrs = %v", a)
 	}
 	if byName["stage/child"].Error != "boom" {
@@ -66,14 +62,14 @@ func TestStartTracedCtx(t *testing.T) {
 	if byName["stage"].StartUnixNS < byName["root"].StartUnixNS {
 		t.Fatal("stage starts before its root")
 	}
+	// So are the root's.
+	if got := r.SpanStatFor("root"); got == nil || got.Count() != 1 || int64(got.Last()) != byName["root"].DurationNS {
+		t.Fatalf("root aggregate %v, trace record %d ns", got, byName["root"].DurationNS)
+	}
 }
 
 func TestStartUntracedCtx(t *testing.T) {
 	r := NewRegistry()
-	tr := trace.New(trace.Config{})
-	prev := trace.SetDefault(tr)
-	defer trace.SetDefault(prev)
-
 	ctx := context.Background()
 	got, sp := r.Start(ctx, "stage")
 	if got != ctx {
@@ -85,41 +81,71 @@ func TestStartUntracedCtx(t *testing.T) {
 	if r.SpanStatFor("stage").Count() != 1 || r.SpanStatFor("stage/child").Count() != 1 {
 		t.Fatal("untraced spans must still record the aggregate")
 	}
-	if started, _ := tr.Stats(); started != 0 || len(tr.Traces()) != 0 {
+	if started := r.tracesStarted.Load(); started != 0 || len(r.Traces()) != 0 {
 		t.Fatalf("untraced spans started %d traces", started)
+	}
+	if sp.Traceparent() != "" || !sp.TraceID().IsZero() || FromContext(got) != nil {
+		t.Fatal("an untraced span must carry no trace")
 	}
 }
 
-func TestFlagsStartStop(t *testing.T) {
-	prevReg := SetDefault(NewRegistry())
-	defer SetDefault(prevReg)
-	Default().SetEnabled(false)
-	prevTr := trace.New(trace.Config{})
-	prevTr.SetEnabled(false)
-	prev := trace.SetDefault(prevTr)
-	defer trace.SetDefault(prev)
+// A second End records nothing: the aggregate counts the stage once
+// and the trace holds one record of it.
+func TestEndRecordsOnce(t *testing.T) {
+	r := NewRegistry()
+	ctx, rt := root(r, "root")
+	_, sp := r.Start(ctx, "stage")
+	if d := sp.End(); d <= 0 {
+		t.Fatalf("first End returned %v", d)
+	}
+	if d := sp.End(); d != 0 {
+		t.Fatalf("second End returned %v, want 0", d)
+	}
+	rt.End()
+	rt.End()
 
-	path := filepath.Join(t.TempDir(), "out.json")
-	f := &Flags{LogLevel: "error", TraceOut: path}
+	snap := r.Snapshot()
+	if c := snap.Spans["stage"].Count; c != 1 {
+		t.Fatalf("stage counted %d times, want 1", c)
+	}
+	if c := snap.Spans["root"].Count; c != 1 {
+		t.Fatalf("root counted %d times, want 1", c)
+	}
+	traces := r.Traces()
+	if len(traces) != 1 || len(traces[0].Spans) != 2 || traces[0].DroppedSpans != 0 {
+		t.Fatalf("want one trace of 2 records, got %d traces %+v", len(traces), traces)
+	}
+}
+
+// flagsRun runs one command's worth of work between Flags.Start and its
+// stop on a fresh default registry: a root span with one stage under it.
+func flagsRun(t *testing.T, f *Flags) {
+	t.Helper()
+	prev := SetDefault(NewRegistry())
+	t.Cleanup(func() { SetDefault(prev) })
+	Default().SetEnabled(false)
+
 	stop, err := f.Start()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, root := trace.Default().Start(context.Background(), "cli-op")
+	ctx, rt := Default().StartTrace(context.Background(), "cli-op", "")
 	_, sp := Default().Start(ctx, "stage")
 	sp.End()
-	root.End()
+	rt.End()
 	if err := stop(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+func TestFlagsStartStop(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "out.json")
+	flagsRun(t, &Flags{LogLevel: "error", TraceOut: path})
 	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct, err := trace.ParseChrome(bytes.NewReader(b))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ct := parseChrome(t, b)
 	names := map[string]bool{}
 	for _, ev := range ct.TraceEvents {
 		names[ev.Name] = true
@@ -128,13 +154,43 @@ func TestFlagsStartStop(t *testing.T) {
 		t.Fatalf("flag-driven export wrong: %+v", ct.TraceEvents)
 	}
 
-	// No -trace-out: start/stop are no-ops.
-	none := Flags{LogLevel: "error"}
-	stop, err = none.Start()
+	// No output flag: the registry stays off and no root opens.
+	flagsRun(t, &Flags{LogLevel: "error"})
+	if Default().Enabled() || len(Default().Traces()) != 0 {
+		t.Fatal("Start without output flags enabled the registry")
+	}
+}
+
+// The command's root reaches -metrics-out, with the same duration its
+// -trace-out record has.
+func TestFlagsMetricsOutListsRoot(t *testing.T) {
+	dir := t.TempDir()
+	mpath, tpath := filepath.Join(dir, "m.json"), filepath.Join(dir, "t.json")
+	flagsRun(t, &Flags{LogLevel: "error", MetricsOut: mpath, TraceOut: tpath})
+	f, err := os.Open(mpath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := stop(); err != nil {
+	defer f.Close()
+	snap, err := ReadSnapshot(f)
+	if err != nil {
 		t.Fatal(err)
+	}
+	b, err := os.ReadFile(tpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := parseChrome(t, b).TraceEvents
+	if len(events) != 2 {
+		t.Fatalf("trace file holds %d events, want cli-op and stage", len(events))
+	}
+	for _, ev := range events {
+		st, ok := snap.Spans[ev.Name]
+		if !ok || st.Count != 1 {
+			t.Fatalf("-metrics-out spans %v lack %s", snap.SpanPaths(), ev.Name)
+		}
+		if float64(st.LastNS)/1e3 != ev.Dur {
+			t.Fatalf("%s: -metrics-out says %d ns, -trace-out %v µs", ev.Name, st.LastNS, ev.Dur)
+		}
 	}
 }

@@ -1,18 +1,22 @@
 // Package telemetry is the observability layer for the fillvoid
 // pipeline: a stdlib-only metrics registry with atomic counters, gauges
-// and bucketed histograms; a Span API for named stage timing with
+// and bucketed histograms; one Span type for named stage timing with
 // hierarchical labels ("pretrain/feature-build", "reconstruct/fused-infer",
-// ...); a TrainObserver hook delivering per-epoch training statistics;
-// JSON snapshot export; and an optional HTTP server exposing /metrics
-// (JSON + expvar), net/http/pprof and /debug/traces.
+// ...) and per-request trace trees; a TrainObserver hook delivering
+// per-epoch training statistics; JSON snapshot export; and an optional
+// HTTP server exposing /metrics (JSON + expvar), net/http/pprof and
+// /debug/traces.
 //
-// Stage code opens spans with Registry.Start(ctx, path) or Span.Child.
+// Request and command roots open with Registry.StartTrace, which
+// continues an incoming W3C traceparent or starts a fresh trace, and
+// stage code opens spans with Registry.Start(ctx, path) or Span.Child.
 // Ending a span records its duration in the registry's per-path
-// aggregate and, when ctx carried a live trace (internal/trace, the only
-// module package this one imports), in that trace with the same start
-// and duration. The trace parent comes from ctx alone, or for Child
-// from the span it is called on, so a stage reached without a traced
-// ctx shows in /metrics but not in any trace tree.
+// aggregate and, when the span belongs to a trace, in that trace with
+// the same start and duration. The trace parent comes from ctx alone,
+// or for Child from the span it is called on, so a stage reached
+// without a traced ctx shows in /metrics but not in any trace tree.
+// Completed traces land in a bounded ring in the registry that opened
+// their root (see trace.go).
 //
 // The package is designed to be opt-in-cheap: the global default
 // registry starts disabled, and every instrumentation site in the hot
@@ -34,9 +38,9 @@ import (
 )
 
 // Registry is a concurrency-safe collection of named counters, gauges,
-// histograms, span statistics and training series. The zero value is
-// not usable; construct with NewRegistry (enabled) or use Default
-// (disabled until Enable).
+// histograms, span statistics, training series and completed traces.
+// The zero value is not usable; construct with NewRegistry (enabled)
+// or use Default (disabled until Enable).
 type Registry struct {
 	enabled atomic.Bool
 
@@ -46,6 +50,17 @@ type Registry struct {
 	hists    map[string]*Histogram
 	spans    map[string]*SpanStat
 	series   map[string]*TrainSeries
+
+	// Kept traces: a circular ring with ringN valid entries ending at
+	// ringNext-1, and the per-trace span cap.
+	traceMu  sync.Mutex
+	ring     []*TraceData
+	ringN    int
+	ringNext int
+	maxSpans int
+
+	tracesStarted atomic.Int64
+	tracesKept    atomic.Int64
 }
 
 // NewRegistry returns an empty, enabled registry. Explicitly
@@ -58,6 +73,8 @@ func NewRegistry() *Registry {
 		hists:    make(map[string]*Histogram),
 		spans:    make(map[string]*SpanStat),
 		series:   make(map[string]*TrainSeries),
+		ring:     make([]*TraceData, traceRingSize),
+		maxSpans: maxTraceSpans,
 	}
 	r.enabled.Store(true)
 	return r
@@ -88,28 +105,30 @@ func SetDefault(r *Registry) *Registry {
 // Enable turns on collection in the global default registry.
 func Enable() { Default().SetEnabled(true) }
 
-// Enabled reports whether the global default registry is collecting.
-func Enabled() bool { return Default().Enabled() }
-
 // SetEnabled flips collection on or off. Disabled registries drop
-// counter/gauge/histogram updates and hand out no-op spans, keeping
-// instrumented hot paths at a single atomic load of overhead.
+// counter/gauge/histogram updates and hand out no-op spans and trace
+// roots, keeping instrumented hot paths at a single atomic load of
+// overhead.
 func (r *Registry) SetEnabled(on bool) { r.enabled.Store(on) }
 
 // Enabled reports whether this registry is collecting.
 func (r *Registry) Enabled() bool { return r.enabled.Load() }
 
-// Reset drops every metric, span statistic and training series while
-// keeping the enabled state. Mainly for tests and long-lived servers
-// that snapshot-and-reset.
+// Reset drops every metric, span statistic, training series and kept
+// trace while keeping the enabled state. Mainly for tests and
+// long-lived servers that snapshot-and-reset.
 func (r *Registry) Reset() {
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.counters = make(map[string]*Counter)
 	r.gauges = make(map[string]*Gauge)
 	r.hists = make(map[string]*Histogram)
 	r.spans = make(map[string]*SpanStat)
 	r.series = make(map[string]*TrainSeries)
+	r.mu.Unlock()
+	r.traceMu.Lock()
+	clear(r.ring)
+	r.ringN, r.ringNext = 0, 0
+	r.traceMu.Unlock()
 }
 
 // --- Counter ---

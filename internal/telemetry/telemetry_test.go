@@ -15,8 +15,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"fillvoid/internal/trace"
 )
 
 func TestCounterConcurrent(t *testing.T) {
@@ -123,6 +121,9 @@ func TestDisabledRegistryHandsOutNoOps(t *testing.T) {
 	if ctx, sp := r.Start(context.Background(), "s"); sp != nil || ctx != context.Background() {
 		t.Fatal("disabled registry returned a live span")
 	}
+	if ctx, sp := r.StartTrace(context.Background(), "s", ""); sp != nil || ctx != context.Background() {
+		t.Fatal("disabled registry returned a live trace root")
+	}
 	if tr := r.Train("t"); tr != nil {
 		t.Fatal("disabled registry returned a live train series")
 	}
@@ -140,13 +141,21 @@ func TestDisabledRegistryHandsOutNoOps(t *testing.T) {
 	g.Add(1)
 	h.Observe(1)
 	sp.Child("x").End()
+	sp.SetAttr("a", "b")
+	sp.SetError("boom")
 	tr.ObserveEpoch(EpochStat{})
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || sp.End() != 0 || tr.Epochs() != nil {
 		t.Fatal("nil handles reported non-zero state")
 	}
+	if sp.Path() != "" || !sp.ID().IsZero() || !sp.TraceID().IsZero() || sp.Traceparent() != "" {
+		t.Fatal("nil span reported an identity")
+	}
 	// Nothing may have been registered.
 	if s := r.Snapshot(); len(s.Counters)+len(s.Gauges)+len(s.Histograms)+len(s.Spans)+len(s.Training) != 0 {
 		t.Fatalf("disabled registry accumulated state: %+v", s)
+	}
+	if len(r.Traces()) != 0 || r.tracesStarted.Load() != 0 {
+		t.Fatal("disabled registry started a trace")
 	}
 }
 
@@ -419,7 +428,7 @@ func TestFlagsStartWritesSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !Enabled() {
+	if !Default().Enabled() {
 		t.Fatal("-metrics-out did not enable the default registry")
 	}
 	Default().Counter("work").Add(3)
@@ -528,8 +537,8 @@ func BenchmarkSpanEnabled(b *testing.B) {
 // trace: the aggregate plus a child record in the trace.
 func BenchmarkSpanTraced(b *testing.B) {
 	r := NewRegistry()
-	ctx, root := trace.New(trace.Config{}).Start(context.Background(), "root")
-	defer root.End()
+	ctx, rt := root(r, "root")
+	defer rt.End()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
