@@ -260,9 +260,13 @@ func TestShardTracesJoinCallersTrace(t *testing.T) {
 
 	total := int64(0)
 	for i, r := range reps {
-		// Every reconstruct request a replica served, less the external
-		// one at the coordinator, is a shard it ran.
-		shards := r.tel.Counter("server.reconstruct.requests").Value()
+		// Every reconstruct request a replica served (its root span's
+		// count), less the external one at the coordinator, is a shard
+		// it ran.
+		var shards int64
+		if st := r.tel.SpanStatFor("server/reconstruct"); st != nil {
+			shards = st.Count()
+		}
 		if i == 0 {
 			shards--
 		}

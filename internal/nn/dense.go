@@ -1,5 +1,10 @@
 package nn
 
+import (
+	"bytes"
+	"math"
+)
+
 // kernel is one dense micro-kernel. run computes a rows × nout block of
 // one dense layer, dst = act(x·Wᵀ + b): x is rows × in row-major with
 // in ≥ 1, wp holds nout outputs' weights in packWeights' layout and b
@@ -8,18 +13,74 @@ package nn
 // starts each element at its bias and adds w[i]*x[i] with i ascending,
 // the product and the sum each rounded on its own (never a fused
 // multiply-add), so all kernels produce the same bits.
+//
+// xm is the column mask of x and dm receives the column mask of the
+// block's outputs (see colMask). A kernel may leave out every input
+// whose bit xm clears, and then writes dm exactly; or it may read no
+// mask and set every bit of dm. Either way it never clears a bit that
+// a nonzero column needs. Leaving an input out changes no bit when the
+// layer is skipSafe, and the caller passes the all-ones mask when it is
+// not.
 type kernel struct {
 	name string
 	rows int
-	run  func(x []float64, rows, in int, wp, b []float64, nout, ldd int, dst []float64, relu bool)
+	run  func(x []float64, rows, in int, wp, b []float64, nout, ldd int, dst []float64, relu bool, xm, dm colMask)
+}
+
+// colMask is the column mask of a block of activations: byte
+// b[rb*stride+g] covers rows 8rb to 8rb+7 and columns 8g to 8g+7, and
+// its bit j is set when column 8g+j has a nonzero bit pattern in any of
+// those rows, so -0 and NaN count as nonzero. A clear bit means the
+// column is +0 in all eight rows. stride is ⌈width/8⌉; with stride 0
+// every row block shares one row of bytes, which is how the all-ones
+// mask and the sink for unread masks take no per-row space. A mask bit
+// past the block's width means nothing: readers ignore it.
+type colMask struct {
+	b      []byte
+	stride int
+}
+
+// setAll sets every bit of the mask of rows rows × nout outputs, nout a
+// multiple of eight: what a kernel that reads no mask writes.
+func (m colMask) setAll(rows, nout int) {
+	for rb := 0; rb < (rows+7)/8; rb++ {
+		r := m.b[rb*m.stride:][:nout/8]
+		for g := range r {
+			r[g] = 0xFF
+		}
+	}
+}
+
+// skipSafe reports whether a layer with packed weights wp and biases pb
+// may leave out an input that is +0 in every row: every weight is
+// finite and no bias is -0. Then each left-out product w·(+0) is ±0,
+// and an accumulator that starts at a bias other than -0 never becomes
+// -0 (a sum is -0 only when both terms are), so adding ±0 would have
+// changed no bit of it, NaN and ±Inf included.
+func skipSafe(wp, pb []float64) bool {
+	for _, w := range wp {
+		if !(math.Abs(w) <= math.MaxFloat64) {
+			return false
+		}
+	}
+	for _, v := range pb {
+		if math.Float64bits(v) == 1<<63 {
+			return false
+		}
+	}
+	return true
 }
 
 // maxKernelRows is the largest row block of any kernel: padding
 // scratch sized for it serves every kernel.
 const maxKernelRows = 8
 
-// portable is the pure-Go kernel, which every host runs.
-var portable = kernel{name: "portable", rows: 4, run: denseForwardBlocked}
+// portable is the pure-Go kernel, which every host runs. It reads no
+// mask.
+var portable = kernel{name: "portable", rows: 4, run: func(x []float64, rows, in int, wp, b []float64, nout, ldd int, dst []float64, relu bool, _, dm colMask) {
+	denseForwardBlocked(x, rows, in, wp, b, nout, ldd, dst, relu)
+	dm.setAll(rows, nout)
+}}
 
 // kern is the kernel every dense GEMM runs on: the widest this host has
 // (hostKernels, widest first), picked once at start-up. Tests switch it
@@ -40,23 +101,36 @@ func HostKernels() []string {
 // computes dst = act(x·Wᵀ + b) on kern, with x (rows × in) and dst
 // (rows × nout) row-major, and wp and b the weights and biases of
 // (nout+7)&^7 outputs in packWeights' layout, the outputs past nout
-// zero. Whole row blocks run straight into dst on every whole block of
-// eight outputs; a last partial block of outputs runs into s.tmp, and
-// rows left over from whole row blocks run padded with zero rows
-// through s.xpad into s.tmp, and unpad copies out their valid part. So
-// every element comes from kern, whatever the shape.
-func denseForward(x []float64, rows, in int, wp, b []float64, nout int, relu bool, dst []float64, s *padScratch) {
+// zero. xm is x's column mask and dm receives dst's (colMask, stride
+// ⌈in/8⌉ and ⌈nout/8⌉, ⌈rows/8⌉ row blocks); a nil xm reads as all
+// ones, which is what a layer that is not skipSafe must pass, and a
+// nil dm discards the mask. Whole row blocks run straight into dst on
+// every whole block of eight outputs; a last partial block of outputs
+// runs into s.tmp, and rows left over from whole row blocks run padded
+// with zero rows through s.xpad into s.tmp, and unpad copies out their
+// valid part. So every element comes from kern, whatever the shape,
+// and every mask byte of the pass is written. The zero rows of a
+// padded block are +0 in x, so they keep x's mask valid for it; their
+// outputs may set extra bits of dm, which only means less is skipped.
+func denseForward(x []float64, rows, in int, xm []byte, wp, b []float64, nout int, relu bool, dst []float64, dm []byte, s *padScratch) {
 	k := kern
+	xc, dc := colMask{xm, (in + 7) / 8}, colMask{dm, (nout + 7) / 8}
+	if xm == nil {
+		xc = colMask{s.ones, 0}
+	}
+	if dm == nil {
+		dc = colMask{s.sink, 0}
+	}
 	whole, n8 := rows-rows%k.rows, nout&^7
 	if whole > 0 {
 		// The slice expressions bound every address the kernel touches.
 		xs := x[:whole*in]
 		if n8 > 0 {
-			k.run(xs, whole, in, wp[:n8*in], b[:n8], n8, nout, dst[:(whole-1)*nout+n8], relu)
+			k.run(xs, whole, in, wp[:n8*in], b[:n8], n8, nout, dst[:(whole-1)*nout+n8], relu, xc, dc)
 		}
 		if n8 < nout {
 			t := s.tmp[:whole*8]
-			k.run(xs, whole, in, wp[n8*in:(n8+8)*in], b[n8:n8+8], 8, 8, t, relu)
+			k.run(xs, whole, in, wp[n8*in:(n8+8)*in], b[n8:n8+8], 8, 8, t, relu, xc, colMask{dc.b[n8/8:], dc.stride})
 			unpad(dst[n8:], nout, t, 8, whole, nout-n8)
 		}
 	}
@@ -64,7 +138,9 @@ func denseForward(x []float64, rows, in int, wp, b []float64, nout int, relu boo
 		np := (nout + 7) &^ 7
 		xp, t := s.xpad[:k.rows*in], s.tmp[:k.rows*np]
 		clear(xp[copy(xp, x[whole*in:rows*in]):])
-		k.run(xp, k.rows, in, wp[:np*in], b[:np], np, np, t, relu)
+		rb := whole / 8
+		k.run(xp, k.rows, in, wp[:np*in], b[:np], np, np, t, relu,
+			colMask{xc.b[rb*xc.stride:], xc.stride}, colMask{dc.b[rb*dc.stride:], dc.stride})
 		unpad(dst[whole*nout:], nout, t, np, rest, nout)
 	}
 }
@@ -145,7 +221,7 @@ func gemm(x []float64, rows, k int, b []float64, n int, dst []float64, s *gemmSc
 	n8 := (n + 7) &^ 7
 	p := s.pack[:n8*k]
 	packRows(p, b, k, n)
-	denseForward(x, rows, k, p, s.zero[:n8], n, false, dst, &s.padScratch)
+	denseForward(x, rows, k, nil, p, s.zero[:n8], n, false, dst, nil, &s.padScratch)
 }
 
 // packRows lays out b (k × n, row-major) as packWeights lays out a
@@ -175,22 +251,29 @@ func unpad(dst []float64, ldd int, t []float64, ldt, rows, cols int) {
 	}
 }
 
-// padScratch is denseForward's workspace for padded blocks: xpad holds
-// leftover rows padded to a row block, tmp the outputs of a padded
-// block.
+// padScratch is denseForward's workspace: xpad holds leftover rows
+// padded to a row block, tmp the outputs of a padded block, ones the
+// all-ones column mask and sink the masks nobody reads, one row of
+// bytes each (stride 0).
 type padScratch struct {
-	xpad, tmp []float64
+	xpad, tmp  []float64
+	ones, sink []byte
 }
 
 // fit grows s to serve a product of (rows × k) by (k × n).
 func (s *padScratch) fit(rows, k, n int) {
 	grow(&s.xpad, maxKernelRows*k)
 	grow(&s.tmp, padTmp(rows, n))
+	if len(s.ones) < (k+7)/8 {
+		s.ones = bytes.Repeat([]byte{0xFF}, (k+7)/8)
+	}
+	grow(&s.sink, (n+7)/8)
 }
 
 // fits reports whether s serves a product of (rows × k) by (k × n).
 func (s *padScratch) fits(rows, k, n int) bool {
-	return len(s.xpad) >= maxKernelRows*k && len(s.tmp) >= padTmp(rows, n)
+	return len(s.xpad) >= maxKernelRows*k && len(s.tmp) >= padTmp(rows, n) &&
+		len(s.ones) >= (k+7)/8 && len(s.sink) >= (n+7)/8
 }
 
 // padTmp is the tmp a product of rows × n outputs needs: a padded row
@@ -206,8 +289,8 @@ func padTmp(rows, n int) int {
 
 // grow makes *b at least n long, discarding its contents if it must
 // reallocate.
-func grow(b *[]float64, n int) {
+func grow[T any](b *[]T, n int) {
 	if len(*b) < n {
-		*b = make([]float64, n)
+		*b = make([]T, n)
 	}
 }

@@ -174,7 +174,7 @@ func testDenseForwardMatchesScalar(t *testing.T) {
 					for e := range got {
 						got[e] = unwritten
 					}
-					denseForward(x.Data, rows, in, l.pw, l.pb, nout, relu, got[:rows*nout], &pad)
+					denseForward(x.Data, rows, in, nil, l.pw, l.pb, nout, relu, got[:rows*nout], nil, &pad)
 					if e := sameBits(got, want.Data); e >= 0 {
 						if e >= rows*nout {
 							t.Fatalf("in=%d nout=%d rows=%d: stored past the end", in, nout, rows)

@@ -1,6 +1,9 @@
 package nn
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // This file is the fused batched-inference path: caller-owned buffers
 // around one dense-layer block driver, denseForward (dense.go), so
@@ -25,6 +28,15 @@ import "fmt"
 // and each sum rounded on its own (no fused multiply-add), so blocking,
 // padding and vectorising change only how fast the values are
 // produced.
+//
+// Each hidden layer's kernel also writes the column mask of its
+// activations (colMask, one byte per 8-row block and 8 columns) into
+// the buffers, and the next layer reads it when it is skip-safe: the
+// AVX-512F kernel then leaves out every input that is +0 in all eight
+// rows of a block, which ReLU makes common on a trained model. A
+// left-out product w·(+0) is ±0 for a finite w, and an accumulator that
+// starts at a bias other than -0 never becomes -0, so skipping moves no
+// bit either. The other kernels read no mask and write all-ones masks.
 
 // Predictor is the fused inference contract shared by the
 // full-precision Network and its Quantized variants: size buffers once
@@ -47,6 +59,14 @@ type InferenceBuffers struct {
 	// directly, but its slot is still allocated so buffers built from a
 	// config serve any same-shaped network.
 	acts [][]float64
+	// masks[li] is the column mask of acts[li] (colMask: (maxRows+7)/8
+	// row blocks of ⌈width/8⌉ bytes), which layer li+1 reads when it is
+	// skip-safe. The final layer's mask goes to the sink.
+	masks [][]byte
+	// rows is the row count of the last pass and used[li] how it used
+	// masks[li]; Skipped counts from them.
+	rows int
+	used []maskUse
 	// pack receives a quantized layer's weights, expanded into the
 	// kernels' packed layout; it is sized for the largest layer. The
 	// full-precision network reads its own packed weights instead.
@@ -68,6 +88,10 @@ func newInferenceBuffers(widths []int, maxRows int) *InferenceBuffers {
 	for i := 1; i < len(widths); i++ {
 		in, out := widths[i-1], widths[i]
 		b.acts = append(b.acts, make([]float64, maxRows*out))
+		if i+1 < len(widths) {
+			b.masks = append(b.masks, make([]byte, maskLen(maxRows, out)))
+			b.used = append(b.used, maskUse{})
+		}
 		grow(&b.pack, in*((out+7)&^7))
 		b.padScratch.fit(maxRows, in, out)
 	}
@@ -94,17 +118,68 @@ func (n *Network) PredictInto(x, out *Matrix, buf *InferenceBuffers) error {
 	if err := checkPredictInto(n.cfg, x, out, buf); err != nil {
 		return err
 	}
-	cur := x.Data
+	buf.rows = x.Rows
 	for li, l := range n.layers {
-		dst := out.Data
-		if li < len(n.layers)-1 {
-			dst = buf.acts[li][:x.Rows*l.out]
-		}
-		denseForward(cur, x.Rows, l.in, l.pw, l.pb, l.out, l.relu, dst, &buf.padScratch)
-		cur = dst
+		buf.layer(li, x, out, l.in, l.pw, l.pb, l.out, l.relu, l.skip)
 	}
 	return nil
 }
+
+// maskUse is how a pass used one hidden layer's column mask: the
+// layer's width, and whether the next layer read the mask.
+type maskUse struct {
+	width int
+	read  bool
+}
+
+// layer runs layer li of a pass of x into out on packed weights wp and
+// biases bias. Each hidden layer writes its activations and their column
+// mask into the buffers; a skip-safe layer after the first reads the
+// mask of its input, and every other layer reads all ones.
+func (b *InferenceBuffers) layer(li int, x, out *Matrix, in int, wp, bias []float64, nout int, relu, skip bool) {
+	cur, xm := x.Data, []byte(nil)
+	if li > 0 {
+		cur = b.acts[li-1][:x.Rows*in]
+		b.used[li-1] = maskUse{in, skip}
+		if skip {
+			xm = b.masks[li-1]
+		}
+	}
+	dst, dm := out.Data, []byte(nil)
+	if li < len(b.masks) {
+		dst, dm = b.acts[li][:x.Rows*nout], b.masks[li]
+	}
+	denseForward(cur, x.Rows, in, xm, wp, bias, nout, relu, dst, dm, &b.padScratch)
+}
+
+// Skipped reports how many (row block, input) pairs of the last
+// PredictInto on b the kernel left out, and how many there were: every
+// input of every layer after the first, per block of eight rows (a
+// last partial block counts as one). A pair is left out when its column
+// was +0 in all the block's rows and the layer was skip-safe; kernels
+// that read no mask write all-ones masks, so on them none is.
+func (b *InferenceBuffers) Skipped() (skipped, pairs int) {
+	blocks := (b.rows + 7) / 8
+	for li, m := range b.masks {
+		w := b.used[li].width
+		pairs += blocks * w
+		if !b.used[li].read {
+			continue
+		}
+		stride := (w + 7) / 8
+		for _, v := range m[:blocks*stride] {
+			skipped += 8 - bits.OnesCount8(v)
+		}
+		// Bits past the width are not inputs.
+		for rb := 0; rb < blocks && w%8 != 0; rb++ {
+			skipped -= 8 - w%8 - bits.OnesCount8(m[rb*stride+stride-1]>>(w%8))
+		}
+	}
+	return skipped, pairs
+}
+
+// maskLen is the length of the column mask of rows × width activations.
+func maskLen(rows, width int) int { return (rows + 7) / 8 * ((width + 7) / 8) }
 
 func checkPredictInto(cfg Config, x, out *Matrix, buf *InferenceBuffers) error {
 	if x.Cols != cfg.In {
@@ -116,7 +191,7 @@ func checkPredictInto(cfg Config, x, out *Matrix, buf *InferenceBuffers) error {
 	if buf == nil || x.Rows > buf.maxRows {
 		return fmt.Errorf("nn: inference buffers too small for %d rows", x.Rows)
 	}
-	if len(buf.acts) != len(cfg.Hidden)+1 {
+	if len(buf.acts) != len(cfg.Hidden)+1 || len(buf.masks) != len(cfg.Hidden) {
 		return fmt.Errorf("nn: inference buffers built for %d layers, want %d", len(buf.acts), len(cfg.Hidden)+1)
 	}
 	in := cfg.In
@@ -125,7 +200,8 @@ func checkPredictInto(cfg Config, x, out *Matrix, buf *InferenceBuffers) error {
 		if li < len(cfg.Hidden) {
 			width = cfg.Hidden[li]
 		}
-		if len(act) < x.Rows*width || len(buf.pack) < in*((width+7)&^7) || !buf.padScratch.fits(x.Rows, in, width) {
+		if len(act) < x.Rows*width || len(buf.pack) < in*((width+7)&^7) || !buf.padScratch.fits(x.Rows, in, width) ||
+			li < len(buf.masks) && len(buf.masks[li]) < maskLen(x.Rows, width) {
 			return fmt.Errorf("nn: inference buffers too small for layer %d (%d→%d) at %d rows", li, in, width, x.Rows)
 		}
 		in = width

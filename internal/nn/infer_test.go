@@ -67,7 +67,7 @@ func checkPredictMatchesScalar(t *testing.T, n *Network, x *Matrix, buf *Inferen
 		t.Fatal(err)
 	}
 	if e := sameBits(out.Data, want.Data); e >= 0 {
-		t.Fatalf("%s: element %d = %v, scalar %v: stale packed weights", when, e, out.Data[e], want.Data[e])
+		t.Fatalf("%s: element %d = %v, scalar %v", when, e, out.Data[e], want.Data[e])
 	}
 }
 

@@ -9,9 +9,12 @@ type dense struct {
 	w       []float64
 	b       []float64
 	// pw and pb are w and b as the kernels read them, in packWeights'
-	// layout and padded with zero outputs to a multiple of eight.
-	// repack rebuilds them; every change to w or b must call it.
+	// layout and padded with zero outputs to a multiple of eight, and
+	// skip is skipSafe(pw, pb): whether the layer reads its input's
+	// column mask. repack rebuilds them; every change to w or b must
+	// call it.
 	pw, pb []float64
+	skip   bool
 	relu   bool // ReLU after affine; the final layer is linear
 	frozen bool // skip the optimizer update (Case 2 fine-tuning)
 }
@@ -22,10 +25,12 @@ func newDense(in, out int, relu bool) *dense {
 		pw: make([]float64, in*out8), pb: make([]float64, out8), relu: relu}
 }
 
-// repack rebuilds the packed copy of the layer's weights and biases.
+// repack rebuilds the packed copy of the layer's weights and biases
+// and decides whether the layer may skip zero inputs.
 func (l *dense) repack() {
 	packWeights(l.pw, l.w, l.in, l.out)
 	copy(l.pb, l.b)
+	l.skip = skipSafe(l.pw, l.pb)
 }
 
 // initHe applies He (Kaiming) initialization, the standard scheme for

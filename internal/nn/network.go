@@ -583,6 +583,7 @@ func (n *Network) ResumedEpochs() int {
 // backward-pass workspace.
 type trainScratch struct {
 	as, dA [][]float64 // per layer: activations and their loss gradients
+	ms     [][]byte    // per hidden layer: the column mask of as
 	gw, gb [][]float64
 	// gemmScratch is the backward pass's workspace; its padScratch also
 	// serves the forward pass, and fit sizes it for both.
@@ -591,7 +592,10 @@ type trainScratch struct {
 
 func (n *Network) newTrainScratch(rows int) *trainScratch {
 	s := &trainScratch{}
-	for _, l := range n.layers {
+	for li, l := range n.layers {
+		if li+1 < len(n.layers) {
+			s.ms = append(s.ms, make([]byte, maskLen(rows, l.out)))
+		}
 		s.as = append(s.as, make([]float64, rows*l.out))
 		s.dA = append(s.dA, make([]float64, rows*l.out))
 		s.gw = append(s.gw, make([]float64, len(l.w)))
@@ -661,15 +665,22 @@ func (n *Network) trainBatch(bx, by *Matrix, scratch []*trainScratch, gw, gb [][
 // shardGradient runs forward + backward over one shard, writing its
 // gradients to the scratch buffers and returning the shard's summed
 // squared error. The forward pass applies ReLU in the kernel and keeps
-// only the activations, which are all denseBackward needs.
+// only the activations, which are all denseBackward needs, and their
+// column masks, which a skip-safe next layer reads as inference does.
 func (n *Network) shardGradient(sx, sy *Matrix, s *trainScratch, batchTotal int) float64 {
 	rows := sx.Rows
 	nl := len(n.layers)
-	cur := sx.Data
+	cur, cm := sx.Data, []byte(nil)
 	for li, l := range n.layers {
-		a := s.as[li][:rows*l.out]
-		denseForward(cur, rows, l.in, l.pw, l.pb, l.out, l.relu, a, &s.padScratch)
-		cur = a
+		a, am := s.as[li][:rows*l.out], []byte(nil)
+		if li+1 < nl {
+			am = s.ms[li]
+		}
+		if !l.skip {
+			cm = nil
+		}
+		denseForward(cur, rows, l.in, cm, l.pw, l.pb, l.out, l.relu, a, am, &s.padScratch)
+		cur, cm = a, am
 	}
 
 	// d(MSE)/d(pred) with the MSE normalized over batch*out elements.

@@ -54,14 +54,15 @@ func ParseQuantMode(s string) (QuantMode, error) {
 
 // quantDense is one layer with compressed weights. Exactly one of f16
 // or q8 is populated, matching the parent's mode. b is padded with
-// zeros to a multiple of eight outputs, as the kernels read it.
+// zeros to a multiple of eight outputs, as the kernels read it, and
+// skip is skipSafe of the expanded weights and b.
 type quantDense struct {
-	in, out int
-	relu    bool
-	b       []float64
-	f16     []uint16
-	q8      []int8
-	scale   float64 // int8 dequantization scale
+	in, out    int
+	relu, skip bool
+	b          []float64
+	f16        []uint16
+	q8         []int8
+	scale      float64 // int8 dequantization scale
 }
 
 // Quantized is an immutable compressed snapshot of a trained Network,
@@ -115,6 +116,9 @@ func (n *Network) Quantize(mode QuantMode) (*Quantized, error) {
 				ql.q8[i] = int8(v)
 			}
 		}
+		pack := make([]float64, len(l.pw))
+		ql.expand(pack)
+		ql.skip = skipSafe(pack, ql.b)
 		q.layers = append(q.layers, ql)
 	}
 	return q, nil
@@ -141,17 +145,12 @@ func (q *Quantized) PredictInto(x, out *Matrix, buf *InferenceBuffers) error {
 	if err := checkPredictInto(q.cfg, x, out, buf); err != nil {
 		return err
 	}
-	cur := x.Data
+	buf.rows = x.Rows
 	for li := range q.layers {
 		l := &q.layers[li]
-		dst := out.Data
-		if li < len(q.layers)-1 {
-			dst = buf.acts[li][:x.Rows*l.out]
-		}
 		wp := buf.pack[:l.in*len(l.b)]
 		l.expand(wp)
-		denseForward(cur, x.Rows, l.in, wp, l.b, l.out, l.relu, dst, &buf.padScratch)
-		cur = dst
+		buf.layer(li, x, out, l.in, wp, l.b, l.out, l.relu, l.skip)
 	}
 	return nil
 }

@@ -413,7 +413,6 @@ func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 		}
 		d := sp.End()
 
-		s.tel.Counter("server." + name + ".requests").Inc()
 		if sw.code >= 400 {
 			s.tel.Counter(fmt.Sprintf("server.%s.errors.%dxx", name, sw.code/100)).Inc()
 		}

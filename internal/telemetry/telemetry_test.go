@@ -534,17 +534,24 @@ func BenchmarkSpanEnabled(b *testing.B) {
 }
 
 // BenchmarkSpanTraced is a span started from a ctx carrying a live
-// trace: the aggregate plus a child record in the trace.
+// trace: the aggregate plus a child record in the trace. A trace keeps
+// at most maxTraceSpans records, so the benchmark ends its root and
+// opens a fresh one that often; every span it times appends a record.
 func BenchmarkSpanTraced(b *testing.B) {
 	r := NewRegistry()
 	ctx, rt := root(r, "root")
-	defer rt.End()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if i > 0 && i%(maxTraceSpans-1) == 0 {
+			rt.End()
+			ctx, rt = root(r, "root")
+		}
 		_, sp := r.Start(ctx, "hot")
 		sp.End()
 	}
+	b.StopTimer()
+	rt.End()
 }
 
 // span starts a span with no trace, for tests about the aggregate.
