@@ -111,6 +111,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzResumeState -fuzztime=$(FUZZTIME) ./internal/nn
 	$(GO) test -run='^$$' -fuzz=FuzzKNearest -fuzztime=$(FUZZTIME) ./internal/kdtree
 	$(GO) test -run='^$$' -fuzz=FuzzNearestTable -fuzztime=$(FUZZTIME) ./internal/recon
+	$(GO) test -run='^$$' -fuzz=FuzzNeighbors -fuzztime=$(FUZZTIME) ./internal/recon
 
 clean:
 	rm -f cover.out test_output.txt fillvoid.smoke

@@ -82,8 +82,9 @@ type Options struct {
 	// ReconBatch bounds how many locations reconstruction runs between
 	// two context checks (default 1<<18). Reconstruction runs on the
 	// plan's neighbour pass, which checks the context once per tile of
-	// recon.NeighborTile (512) locations per worker and keeps memory
-	// flat at any grid size, so it meets every bound of at least 512.
+	// at most recon.NeighborTile (512) locations per worker and keeps
+	// memory flat at any grid size, so it meets every bound of at least
+	// 512.
 	// The field stays because the model header, and with it every
 	// model id, includes it.
 	ReconBatch int
@@ -531,8 +532,9 @@ func (r *FCNN) ReconstructRegion(ctx context.Context, p *recon.Plan, region reco
 	// the first two.
 	k := max(K, 2)
 	var void atomic.Int64
-	fusedSp := sp.Child("fused-infer")
-	err = p.Neighbors(ctx, region, k, workers, func(w, first int, queries []mathutil.Vec3, nbs []kdtree.Neighbor) error {
+	// The pass's own span, recon/neighbors, nests under this one.
+	fusedCtx, fusedSp := reg.Start(ctx, "reconstruct/fused-infer")
+	err = p.Neighbors(fusedCtx, region, k, workers, func(w, first int, queries []mathutil.Vec3, nbs []kdtree.Neighbor) error {
 		s := scratch[w]
 		if s == nil {
 			s = getFusedScratch(pred, inW, outW)

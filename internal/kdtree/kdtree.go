@@ -9,15 +9,23 @@
 // allocation-free when the caller supplies scratch buffers.
 //
 // Neighbour order: k-NN results (KNearest, KNearestInto,
-// KNearestBatchInto) are canonical — the k points first in ascending
-// Dist2, then ascending Index, with distances computed like
-// mathutil.Vec3.Dist2 — so they equal an exhaustive search sorted the
-// same way, index for index and bit for bit, whatever the batching,
-// warm start, worker count or leaf kernel (see leafKernel). Nearest is
-// not: among points at exactly the same distance it keeps the first one
-// its descent visits, which the baselines' pinned outputs rely on. Grid
-// nodes are searched in bulk only through recon.Plan.Neighbors, on
-// KNearestBatchInto; Nearest remains for the cases the canonical order
+// KNearestBatchInto, KNearestPatchInto) are canonical — the k points
+// first in ascending Dist2, then ascending Index, with distances
+// computed like mathutil.Vec3.Dist2 — so they equal an exhaustive
+// search sorted the same way, index for index and bit for bit, whatever
+// the batching, warm start, brick, worker count or leaf kernel (see
+// leafKernel). Nearest is not: among points at exactly the same
+// distance it keeps the first one its descent visits, which the
+// baselines' pinned outputs rely on.
+//
+// Grid nodes are searched in bulk only through recon.Plan.Neighbors,
+// on KNearestPatchInto: a plane's patch of nodes is cut into small
+// bricks, each answered from one candidate block (a Block) gathered by
+// one centre search and one range query, with each node's list carried
+// to the next node (see Block for why that is exact). Queries with no
+// grid neighbours — point lists, features.Build's training rows, and
+// each brick's centre — run the tree search, KNearestBatchInto or
+// KNearestInto. Nearest remains for the cases the canonical order
 // cannot answer alone: the plan's nearest-sample rule at an exact tie
 // between the two nearest samples, Sibson's gather at off-grid points,
 // linear interpolation outside the hull, and iso's Chamfer distance.

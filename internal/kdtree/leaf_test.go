@@ -147,10 +147,11 @@ func TestSearchMatchesBruteForceOnEveryKernel(t *testing.T) {
 	})
 }
 
-// BenchmarkKNearestGridNodes times warm-started k-NN over every node of
-// a 62×62×12 unit-cube grid in raster order, against a seeded 1 % cloud,
-// once per leaf kernel this host has: the query pattern of the
-// reconstruction workloads.
+// BenchmarkKNearestGridNodes times k-NN over every node of a 62×62×12
+// unit-cube grid against a seeded 1 % cloud, once per leaf kernel this
+// host has, both ways grid nodes have been searched: tree, warm-started
+// KNearestBatchInto in raster order, and patch, KNearestPatchInto over
+// each plane, the neighbour pass's way. It reports ns/query.
 func BenchmarkKNearestGridNodes(b *testing.B) {
 	const nx, ny, nz = 62, 62, 12
 	var nodes []mathutil.Vec3
@@ -172,11 +173,23 @@ func BenchmarkKNearestGridNodes(b *testing.B) {
 	for _, kern := range hostLeafKernels {
 		for _, k := range []int{5, 12} {
 			out := make([]Neighbor, len(nodes)*k)
-			b.Run(fmt.Sprintf("%s/k=%d", kern.name, k), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/tree/k=%d", kern.name, k), func(b *testing.B) {
 				leaf = kern
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					tree.KNearestBatchInto(nodes, k, 1, out)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(nodes)), "ns/query")
+			})
+			b.Run(fmt.Sprintf("%s/patch/k=%d", kern.name, k), func(b *testing.B) {
+				leaf = kern
+				var blk Block
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for z := 0; z < nz; z++ {
+						lo, hi := z*nx*ny, (z+1)*nx*ny
+						tree.KNearestPatchInto(nodes[lo:hi], nx, k, out[lo*k:hi*k], &blk)
+					}
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(nodes)), "ns/query")
 			})

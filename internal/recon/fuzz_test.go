@@ -37,6 +37,47 @@ func fuzzCloud(dims uint16, raw []byte) (*pointcloud.Cloud, GridSpec) {
 	return c, spec
 }
 
+// FuzzNeighbors checks full-grid, box and point-list passes over
+// fuzzCloud grids against an exhaustive canonical sort, index and
+// distance bits alike, at k from 1 to 17 and 1 to 4 workers, and the
+// visitor contract of their tiles (see checkPass). box picks the box,
+// and the point list asks every grid node and then every sample's own
+// position.
+func FuzzNeighbors(f *testing.F) {
+	f.Add(uint16(5+6*4+36*2), uint8(4), uint32(0x01020304), []byte{2, 2, 2, 4, 2, 2, 3, 5, 1, 250, 0, 0})
+	f.Add(uint16(3+6*3+36*1), uint8(16+17*3), uint32(0), []byte{1, 1, 1, 3, 3, 3, 5, 5, 1, 7, 1, 3, 0, 9, 4})
+	f.Add(uint16(5+6*5+36*3), uint8(11+17), uint32(0xffffffff), []byte{0, 0, 0, 13, 13, 9, 6, 6, 4, 250, 1, 1, 250, 2, 2, 7, 7, 5})
+	f.Add(uint16(0), uint8(0), uint32(7), []byte{0, 0, 0})
+	f.Fuzz(func(t *testing.T, dims uint16, kw uint8, box uint32, raw []byte) {
+		c, spec := fuzzCloud(dims, raw)
+		if c.Len() == 0 {
+			return
+		}
+		k, workers := 1+int(kw%17), 1+int(kw/17%4)
+		p, err := NewPlan(c, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// One byte per box axis start, one per extent.
+		axis := func(shift, n int) (int, int) {
+			lo := int(box>>shift&0xf) % n
+			return lo, lo + 1 + int(box>>(shift+4)&0xf)%(n-lo)
+		}
+		i0, i1 := axis(0, spec.NX)
+		j0, j1 := axis(8, spec.NY)
+		k0, k1 := axis(16, spec.NZ)
+		full := Full(spec)
+		pts := make([]mathutil.Vec3, 0, spec.Len()+c.Len())
+		for m := range spec.Len() {
+			pts = append(pts, full.PointAt(spec, m))
+		}
+		pts = append(pts, c.Points...)
+		for _, region := range []Region{full, Box(i0, j0, k0, i1, j1, k1), PointList(pts)} {
+			checkPass(t, p, region, k, workers)
+		}
+	})
+}
+
 // FuzzNearestTable checks that the nearest table holds, index and
 // distance bits, what one tree.Nearest call per node answers, whether
 // NearestTable builds it or a full-grid Neighbors pass at k > 2 fills

@@ -2,14 +2,12 @@ package recon
 
 import (
 	"context"
-	"fmt"
 	"slices"
 	"sync"
 	"sync/atomic"
 
 	"fillvoid/internal/kdtree"
 	"fillvoid/internal/mathutil"
-	"fillvoid/internal/parallel"
 	"fillvoid/internal/pointcloud"
 	"fillvoid/internal/telemetry"
 )
@@ -21,14 +19,18 @@ import (
 // (e.g. a Delaunay tetrahedralization).
 //
 // Neighbors is the one place a region's grid nodes are searched: the
-// FCNN, Shepard, RBF and NearestFor run on it. The nearest table costs
-// 12 bytes per grid node for as long as the plan lives, so only the
-// queries that need every node's nearest sample build it: NearestTable
-// itself, NearestFor on the full grid, and natural neighbour, whose
-// scatter reads the whole grid. A full-grid Neighbors pass with k >= 2
-// fills the table on the way when the plan has none, so a Fig 9-style
-// run searches the grid once for both. FCNN, Shepard, RBF and nearest
-// box and point-list queries leave the plan without one.
+// FCNN, Shepard, RBF and NearestFor run on it. It answers grid regions
+// brick by brick from candidate blocks gathered around each brick, and
+// point lists with the tree search; the pass holds no per-grid storage,
+// only pooled per-worker tile buffers (see neighbors.go). The nearest
+// table costs 12 bytes per grid node for as long as the plan lives, so
+// only the queries that need every node's nearest sample build it:
+// NearestTable itself, NearestFor on the full grid, and natural
+// neighbour, whose scatter reads the whole grid. A full-grid Neighbors
+// pass with k >= 2 fills the table on the way when the plan has none,
+// so a Fig 9-style run searches the grid once for both. FCNN, Shepard,
+// RBF and nearest box and point-list queries leave the plan without
+// one.
 //
 // A Plan is immutable after NewPlan and safe for concurrent use; the
 // lazily built pieces are guarded by sync.Once.
@@ -101,109 +103,6 @@ func (p *Plan) ValueRange() (lo, hi float64) {
 		p.valMin, p.valMax = p.cloud.ValueRange()
 	})
 	return p.valMin, p.valMax
-}
-
-// NeighborTile is the most queries one NeighborVisitor call receives:
-// each worker of the pass searches its nodes in tiles of this many
-// consecutive queries.
-const NeighborTile = 512
-
-// NeighborVisitor receives one tile of a Neighbors pass: the index w of
-// the worker running it, the region ordinal of the tile's first query,
-// the tile's query positions, and their canonical k-NN lists, flat
-// (query i's list is nbs[i*k:(i+1)*k], padded with {Index: -1, Dist2:
-// +Inf} when the cloud holds fewer than k samples). Both slices are the
-// worker's scratch and are overwritten by its next tile. Tiles of one
-// worker arrive in region order; different workers run concurrently.
-type NeighborVisitor func(w, first int, queries []mathutil.Vec3, nbs []kdtree.Neighbor) error
-
-// Neighbors runs the plan's neighbour pass over region: the k nearest
-// samples of every query, in kdtree's canonical order. It takes box,
-// full-grid and point-list regions. Each of min(workers, region.Len())
-// workers (workers <= 0: parallel.DefaultWorkers()) takes one
-// contiguous range of the region, worker w the w-th, and searches it in
-// tiles of NeighborTile consecutive queries with one warm-started
-// KNearestBatchInto each, so every query but a tile's first starts from
-// the bound its predecessor left. ctx is checked once per tile; the
-// pass stops at the first visitor error or cancellation and returns it.
-// visit may be nil.
-//
-// A full-grid pass with k >= 2 on a plan without a nearest table fills
-// one from its lists (see NearestOf) and publishes it when the pass
-// completes, unless another pass published first.
-func (p *Plan) Neighbors(ctx context.Context, region Region, k, workers int, visit NeighborVisitor) error {
-	if k < 1 {
-		return fmt.Errorf("recon: neighbour pass needs k >= 1, got %d", k)
-	}
-	var idx []int32
-	var d2 []float64
-	if k >= 2 && region.IsFull(p.spec) && !p.nearBuilt.Load() {
-		idx, d2 = make([]int32, p.spec.Len()), make([]float64, p.spec.Len())
-	}
-	if err := p.pass(ctx, region, k, workers, visit, idx, d2); err != nil {
-		return err
-	}
-	if idx != nil {
-		p.nearOnce.Do(func() { p.setNearest(idx, d2) })
-	}
-	return nil
-}
-
-// pass is Neighbors without the table bookkeeping: when nearIdx and
-// nearD2 are non-nil (region.Len() long, k >= 2), it also writes every
-// query's NearestOf answer into them.
-func (p *Plan) pass(ctx context.Context, region Region, k, workers int, visit NeighborVisitor, nearIdx []int32, nearD2 []float64) error {
-	n := region.Len()
-	if n == 0 {
-		return ctx.Err()
-	}
-	if workers <= 0 {
-		workers = parallel.DefaultWorkers()
-	}
-	workers = min(workers, n)
-	chunk := (n + workers - 1) / workers
-	tree, spec := p.Tree(), p.spec
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		errOnce  sync.Once
-		firstErr error
-	)
-	fail := func(err error) {
-		errOnce.Do(func() { firstErr = err })
-		cancel()
-	}
-	parallel.ForChunked(n, workers, func(lo, hi int) {
-		// ForChunked hands worker w the range starting at w*chunk.
-		w := lo / chunk
-		tile := min(NeighborTile, hi-lo)
-		queries := make([]mathutil.Vec3, tile)
-		buf := make([]kdtree.Neighbor, tile*k)
-		for t := lo; t < hi; t += tile {
-			if err := ctx.Err(); err != nil {
-				fail(err)
-				return
-			}
-			qs := queries[:min(tile, hi-t)]
-			for i := range qs {
-				qs[i] = region.PointAt(spec, t+i)
-			}
-			nbs := tree.KNearestBatchInto(qs, k, 1, buf)
-			if nearIdx != nil {
-				for i, q := range qs {
-					j, d := p.NearestOf(q, nbs[i*k:(i+1)*k])
-					nearIdx[t+i], nearD2[t+i] = int32(j), d
-				}
-			}
-			if visit != nil {
-				if err := visit(w, t, qs, nbs); err != nil {
-					fail(err)
-					return
-				}
-			}
-		}
-	})
-	return firstErr
 }
 
 // NearestOf resolves q's nearest sample from its canonical k-NN list
