@@ -34,17 +34,35 @@ type Triangulation struct {
 	// firstLive is a tet index guaranteed alive, used to seed Locators.
 	firstLive int32
 	bounds    mathutil.AABB
+	// created counts the tetrahedra the insertions created, live and
+	// dead, the super-tetrahedron included.
+	created int
 }
 
 // tet is one tetrahedron: vertex indices, neighbor tets (neighbor[i] is
-// across the face opposite verts[i]; -1 = hull boundary), and a cached
-// circumsphere for fast in-sphere tests.
+// across the face opposite verts[i]; -1 = hull boundary), a cached
+// circumsphere for fast in-sphere tests, and the orientation byte
+// (see orientation), which lives in what would otherwise be padding.
 type tet struct {
 	verts    [4]int32
 	neighbor [4]int32
 	center   mathutil.Vec3
 	r2       float64
 	dead     bool
+	sides    uint8
+}
+
+// sidePos and sideNeg are the flags of face f in tet.sides: the tet's
+// own vertex verts[f] lies strictly on the positive, or the negative,
+// side of the face's plane; neither is set when orient3d gives 0 or NaN.
+func sidePos(f int) uint8 { return 1 << f }
+func sideNeg(f int) uint8 { return 16 << f }
+
+// beyond reports whether a point whose orient3d against face f is sideP
+// lies strictly on the other side of the face from the tet's own vertex
+// verts[f].
+func (tt *tet) beyond(f int, sideP float64) bool {
+	return tt.sides&sidePos(f) != 0 && sideP < 0 || tt.sides&sideNeg(f) != 0 && sideP > 0
 }
 
 const noTet = int32(-1)
@@ -84,6 +102,11 @@ func build(points []mathutil.Vec3, values []float64) (*Triangulation, error) {
 		bounds: bounds,
 		verts:  make([]mathutil.Vec3, 0, len(points)+4),
 		values: make([]float64, 0, len(points)+4),
+		// The insertions create about 23 (461 points) to 26 (156k
+		// points) tetrahedra per point, dead ones included; one slice
+		// sized for that spares the growth copies, and compact hands
+		// the mesh a tight copy of the live ones.
+		tets: make([]tet, 0, 27*len(points)+64),
 	}
 
 	// Super-tetrahedron comfortably containing the bounding box.
@@ -111,17 +134,46 @@ func build(points []mathutil.Vec3, values []float64) (*Triangulation, error) {
 	// of grid-ordered points makes the walk O(n^2); scrambling restores
 	// the expected O(n log n).
 	order := scrambledOrder(len(points))
+	b := builder{walk: walkCache{k: noTet}}
 	last := root
 	for _, oi := range order {
 		v := int32(oi + 4)
 		var err error
-		last, err = t.insert(v, last)
+		last, err = t.insert(&b, v, last)
 		if err != nil {
 			return nil, err
 		}
 	}
+	t.created = len(t.tets)
 	t.refreshFirstLive()
 	return t, nil
+}
+
+// builder is the scratch of one insertion — the walk's normals, the
+// cavity, its boundary faces and the new tets' open faces — kept for
+// the next, so an insertion allocates nothing. It belongs to build
+// alone; the finished mesh keeps none of it.
+type builder struct {
+	walk   walkCache
+	cavity []int32
+	faces  []boundaryFace
+	open   []openFace
+}
+
+// boundaryFace is a face of the cavity's surface: its vertices, the
+// cavity tet it belongs to, and the tet beyond it (noTet on the hull).
+type boundaryFace struct {
+	a, b, c int32
+	inside  int32
+	outside int32
+}
+
+// openFace is an internal face of the retriangulated cavity whose
+// second tet has not been created yet.
+type openFace struct {
+	key  [3]int32 // faceKey of its vertices
+	tet  int32
+	face int8
 }
 
 // jitterPoint displaces p by a deterministic hash of its index.
@@ -155,8 +207,27 @@ func (t *Triangulation) newTet(v [4]int32, nb [4]int32) int32 {
 		nb[2], nb[3] = nb[3], nb[2]
 	}
 	center, r2 := circumsphere(t.verts[v[0]], t.verts[v[1]], t.verts[v[2]], t.verts[v[3]])
-	t.tets = append(t.tets, tet{verts: v, neighbor: nb, center: center, r2: r2})
+	t.tets = append(t.tets, tet{verts: v, neighbor: nb, center: center, r2: r2, sides: t.orientation(v)})
 	return int32(len(t.tets) - 1)
+}
+
+// orientation returns the sides byte of a tet with vertices v: for each
+// face f, the sign of orient3d(face f, v[f]), the test a walk makes of
+// the tet's own vertex against each face. A tet's vertices never change
+// after newTet, so the byte holds what evaluating orient3d at every
+// walk step would give.
+func (t *Triangulation) orientation(v [4]int32) uint8 {
+	var s uint8
+	for f := 0; f < 4; f++ {
+		fa, fb, fc := faceOf(v, f)
+		o := orient3d(t.verts[fa], t.verts[fb], t.verts[fc], t.verts[v[f]])
+		if o > 0 {
+			s |= sidePos(f)
+		} else if o < 0 {
+			s |= sideNeg(f)
+		}
+	}
+	return s
 }
 
 // orient3d returns det[b-a, c-a, d-a]: positive when d lies on the
@@ -198,26 +269,28 @@ func (t *Triangulation) inSphere(k int32, p mathutil.Vec3) bool {
 }
 
 // insert adds vertex v to the triangulation, walking from tet hint to
-// find the cavity. It returns one of the newly created tets as the next
-// walk hint.
-func (t *Triangulation) insert(v int32, hint int32) (int32, error) {
+// find the cavity, on b's scratch. It returns one of the newly created
+// tets as the next walk hint.
+//
+// The tets it creates, their order and their vertex order depend only
+// on the order of the boundary faces, one new tet each. The open-face
+// list holds at most one entry per face, since a match removes it, so
+// each scan finds the face's one partner, whatever the list's order;
+// reusing b's slices changes none of this.
+func (t *Triangulation) insert(b *builder, v int32, hint int32) (int32, error) {
 	p := t.verts[v]
-	start, err := t.locate(p, hint)
+	start, err := t.locate(p, hint, &b.walk)
 	if err != nil {
 		return noTet, err
 	}
 
 	// Grow the cavity: all tets whose circumsphere contains p.
-	cavity := t.growCavity(start, p)
+	t.growCavity(b, start, p)
 
 	// Collect boundary faces. A boundary face is a face of a cavity tet
 	// whose neighbor is outside the cavity (or the hull).
-	type boundaryFace struct {
-		a, b, c int32 // face vertices
-		outside int32 // neighbor tet beyond the face (noTet on hull)
-	}
-	var faces []boundaryFace
-	for _, ci := range cavity {
+	b.faces = b.faces[:0]
+	for _, ci := range b.cavity {
 		ct := &t.tets[ci]
 		for f := 0; f < 4; f++ {
 			nb := ct.neighbor[f]
@@ -226,33 +299,26 @@ func (t *Triangulation) insert(v int32, hint int32) (int32, error) {
 			}
 			// Face opposite vertex f.
 			fa, fb, fc := faceOf(ct.verts, f)
-			faces = append(faces, boundaryFace{fa, fb, fc, nb})
+			b.faces = append(b.faces, boundaryFace{fa, fb, fc, ci, nb})
 		}
 	}
 
 	// Retriangulate: one new tet per boundary face, joined at v.
-	created := make([]int32, 0, len(faces))
-	// faceKey → (tet, local face index) for stitching new tets together.
-	open := make(map[[3]int32]faceRef, 3*len(faces))
-	for _, bf := range faces {
+	first := int32(len(t.tets))
+	b.open = b.open[:0]
+	for _, bf := range b.faces {
 		nt := t.newTet([4]int32{bf.a, bf.b, bf.c, v}, [4]int32{noTet, noTet, noTet, noTet})
-		created = append(created, nt)
 		// Wire the face shared with the outside world. After
 		// normalization vertex order may have changed; find v's slot —
 		// the face opposite v is the boundary face.
 		vSlot := slotOf(t.tets[nt].verts, v)
 		t.tets[nt].neighbor[vSlot] = bf.outside
 		if bf.outside != noTet {
-			// Point the outside tet back at the new tet.
+			// Point the outside tet back at the new tet. Links are
+			// symmetric and two tets share at most one face, so the
+			// slot holding the cavity tet is the shared face's.
 			ot := &t.tets[bf.outside]
-			oSlot := -1
-			for f := 0; f < 4; f++ {
-				oa, ob, oc := faceOf(ot.verts, f)
-				if sameFace(oa, ob, oc, bf.a, bf.b, bf.c) {
-					oSlot = f
-					break
-				}
-			}
+			oSlot := slotOf(ot.neighbor, bf.inside)
 			if oSlot < 0 {
 				return noTet, errors.New("delaunay: inconsistent cavity boundary")
 			}
@@ -265,33 +331,35 @@ func (t *Triangulation) insert(v int32, hint int32) (int32, error) {
 			}
 			fa, fb, fc := faceOf(t.tets[nt].verts, f)
 			key := faceKey(fa, fb, fc)
-			if other, ok := open[key]; ok {
-				t.tets[nt].neighbor[f] = other.tet
-				t.tets[other.tet].neighbor[other.face] = nt
-				delete(open, key)
-			} else {
-				open[key] = faceRef{nt, int8(f)}
+			o := len(b.open) - 1
+			for o >= 0 && b.open[o].key != key {
+				o--
 			}
+			if o < 0 {
+				b.open = append(b.open, openFace{key, nt, int8(f)})
+				continue
+			}
+			other := b.open[o]
+			t.tets[nt].neighbor[f] = other.tet
+			t.tets[other.tet].neighbor[other.face] = nt
+			last := len(b.open) - 1
+			b.open[o] = b.open[last]
+			b.open = b.open[:last]
 		}
 	}
-	if len(open) != 0 {
+	if len(b.open) != 0 {
 		return noTet, errors.New("delaunay: cavity retriangulation left unmatched faces")
 	}
-	return created[0], nil
+	return first, nil
 }
 
-type faceRef struct {
-	tet  int32
-	face int8
-}
-
-// growCavity marks dead and returns all tets whose circumsphere
-// contains p, reachable from start.
-func (t *Triangulation) growCavity(start int32, p mathutil.Vec3) []int32 {
-	cavity := []int32{start}
+// growCavity marks dead and collects into b.cavity all tets whose
+// circumsphere contains p, reachable from start.
+func (t *Triangulation) growCavity(b *builder, start int32, p mathutil.Vec3) {
+	b.cavity = append(b.cavity[:0], start)
 	t.tets[start].dead = true
-	for qi := 0; qi < len(cavity); qi++ {
-		ct := t.tets[cavity[qi]]
+	for qi := 0; qi < len(b.cavity); qi++ {
+		ct := &t.tets[b.cavity[qi]]
 		for f := 0; f < 4; f++ {
 			nb := ct.neighbor[f]
 			if nb == noTet || t.tets[nb].dead {
@@ -299,11 +367,10 @@ func (t *Triangulation) growCavity(start int32, p mathutil.Vec3) []int32 {
 			}
 			if t.inSphere(nb, p) {
 				t.tets[nb].dead = true
-				cavity = append(cavity, nb)
+				b.cavity = append(b.cavity, nb)
 			}
 		}
 	}
-	return cavity
 }
 
 // faceOf returns the three vertices of the face opposite local vertex f.
@@ -342,32 +409,45 @@ func faceKey(a, b, c int32) [3]int32 {
 	return [3]int32{a, b, c}
 }
 
-func sameFace(a, b, c int32, x, y, z int32) bool {
-	return faceKey(a, b, c) == faceKey(x, y, z)
-}
-
 // locate finds a live tet containing p by visibility walk from hint,
 // falling back to an exhaustive scan if the walk cycles (degenerate
 // numerics). Returns an error only if no tet contains p, which cannot
-// happen inside the super-tetrahedron.
-func (t *Triangulation) locate(p mathutil.Vec3, hint int32) (int32, error) {
+// happen inside the super-tetrahedron. It is the one walk: the build's
+// insertions and every Locator run it, on compacted meshes or not.
+//
+// Per tet it visits it tests the faces in order and crosses the first
+// one p lies strictly beyond. That test compares orient3d(face, p),
+// sideP, against orient3d(face, opposite vertex), sideV; sideV is the
+// tet's sides byte, and sideP is n·(p−a) with the face normal
+// n = (b−a)×(c−a) and anchor a: orient3d's own operations on the same
+// operands in the same order. When the tet is the one c holds the
+// normals of, they come from c instead of being recomputed. Every
+// decision, and so the answer, is the one computing both orient3d
+// values afresh gave. On return (other than by the exhaustive scan)
+// c holds the normals of the returned tet.
+func (t *Triangulation) locate(p mathutil.Vec3, hint int32, c *walkCache) (int32, error) {
 	cur := hint
 	if cur == noTet || t.tets[cur].dead {
 		cur = t.findLive()
 	}
 	maxSteps := 4 * (len(t.tets) + 16)
 	for step := 0; step < maxSteps; step++ {
+		c.steps++
 		ct := &t.tets[cur]
+		cached := cur == c.k
+		fn := &c.fn[c.at]
+		if !cached {
+			fn = &c.fn[1-c.at]
+		}
 		moved := false
 		for f := 0; f < 4; f++ {
-			fa, fb, fc := faceOf(ct.verts, f)
-			a, b, c := t.verts[fa], t.verts[fb], t.verts[fc]
-			op := t.verts[ct.verts[f]]
-			sideP := orient3d(a, b, c, p)
-			sideV := orient3d(a, b, c, op)
-			// p beyond face f (strictly on the opposite side from the
-			// tet's own fourth vertex) → cross to the neighbor.
-			if sideV > 0 && sideP < 0 || sideV < 0 && sideP > 0 {
+			if !cached {
+				fa, fb, fc := faceOf(ct.verts, f)
+				a := t.verts[fa]
+				fn.n[f], fn.a[f] = t.verts[fb].Sub(a).Cross(t.verts[fc].Sub(a)), a
+			}
+			// p beyond face f → cross to the neighbor.
+			if ct.beyond(f, fn.side(f, p)) {
 				nb := ct.neighbor[f]
 				if nb == noTet {
 					continue // outside hull along this face; try others
@@ -378,6 +458,10 @@ func (t *Triangulation) locate(p mathutil.Vec3, hint int32) (int32, error) {
 			}
 		}
 		if !moved {
+			if !cached {
+				// All four faces were tested, so fn holds them all.
+				c.k, c.at = cur, 1-c.at
+			}
 			return cur, nil
 		}
 	}
@@ -393,16 +477,37 @@ func (t *Triangulation) locate(p mathutil.Vec3, hint int32) (int32, error) {
 	return noTet, errors.New("delaunay: point location failed")
 }
 
+// walkCache holds the face normals of the tet a walk last ended in,
+// tet k (noTet before the first walk), in fn[at]; a walk fills fn[1−at]
+// for the tets it computes afresh. A tet's vertices never change, so
+// the normals stay valid while the cache lives: the build's cache sees
+// no compaction, and a Locator's starts empty on a finished mesh.
+// steps counts the tets the walks visited.
+type walkCache struct {
+	k     int32
+	at    int
+	fn    [2]faceNormals
+	steps int64
+}
+
+// faceNormals are a tet's four face normals (b−a)×(c−a), for each
+// face's vertices (a, b, c) in faceOf order, and their anchors a.
+type faceNormals struct {
+	n, a [4]mathutil.Vec3
+}
+
+// side returns n·(p−a) for face f: orient3d(a, b, c, p), with its
+// operations on the same operands in the same order.
+func (fn *faceNormals) side(f int, p mathutil.Vec3) float64 {
+	return fn.n[f].Dot(p.Sub(fn.a[f]))
+}
+
 // contains reports whether p is inside (or on) tet k.
 func (t *Triangulation) contains(k int32, p mathutil.Vec3) bool {
 	ct := &t.tets[k]
 	for f := 0; f < 4; f++ {
 		fa, fb, fc := faceOf(ct.verts, f)
-		a, b, c := t.verts[fa], t.verts[fb], t.verts[fc]
-		op := t.verts[ct.verts[f]]
-		sideP := orient3d(a, b, c, p)
-		sideV := orient3d(a, b, c, op)
-		if sideV > 0 && sideP < 0 || sideV < 0 && sideP > 0 {
+		if ct.beyond(f, orient3d(t.verts[fa], t.verts[fb], t.verts[fc], p)) {
 			return false
 		}
 	}
@@ -481,6 +586,11 @@ func (t *Triangulation) NumTets() int {
 	}
 	return n
 }
+
+// TetsCreated returns how many tetrahedra the build's insertions
+// created, the dead ones included: the build's work, where NumTets is
+// its result.
+func (t *Triangulation) TetsCreated() int { return t.created }
 
 // NumVertices returns the number of input points.
 func (t *Triangulation) NumVertices() int { return len(t.verts) - 4 }

@@ -420,3 +420,133 @@ func TestTetBytesMatchesLayout(t *testing.T) {
 		t.Fatalf("tet is %d bytes, Bytes assumes 72", got)
 	}
 }
+
+// freshLocate is the walk with nothing kept: both orient3d values of
+// every face test computed afresh, without the orientation byte or a
+// Locator's products. It is the oracle for locate, and adds the tets it
+// visits to *steps.
+func freshLocate(t *Triangulation, p mathutil.Vec3, hint int32, steps *int64) int32 {
+	cur := hint
+	for step := 0; step < 4*(len(t.tets)+16); step++ {
+		*steps++
+		ct := &t.tets[cur]
+		moved := false
+		for f := 0; f < 4; f++ {
+			fa, fb, fc := faceOf(ct.verts, f)
+			a, b, c := t.verts[fa], t.verts[fb], t.verts[fc]
+			sideP := orient3d(a, b, c, p)
+			sideV := orient3d(a, b, c, t.verts[ct.verts[f]])
+			if sideV > 0 && sideP < 0 || sideV < 0 && sideP > 0 {
+				if nb := ct.neighbor[f]; nb != noTet {
+					cur, moved = nb, true
+					break
+				}
+			}
+		}
+		if !moved {
+			return cur
+		}
+	}
+	for i := range t.tets {
+		if !t.tets[i].dead && t.contains(int32(i), p) {
+			return int32(i)
+		}
+	}
+	return noTet
+}
+
+// freshInterpolate is Interpolate on freshLocate and barycentric
+// computed afresh per query.
+func freshInterpolate(t *Triangulation, q mathutil.Vec3, last *int32, steps *int64) (float64, bool) {
+	k := freshLocate(t, q, *last, steps)
+	if k == noTet {
+		return 0, false
+	}
+	*last = k
+	tt := &t.tets[k]
+	for _, v := range tt.verts {
+		if v < 4 {
+			return 0, false
+		}
+	}
+	w, ok := barycentric(t.verts[tt.verts[0]], t.verts[tt.verts[1]], t.verts[tt.verts[2]], t.verts[tt.verts[3]], q)
+	if !ok {
+		return 0, false
+	}
+	return w[0]*t.values[tt.verts[0]] + w[1]*t.values[tt.verts[1]] + w[2]*t.values[tt.verts[2]] + w[3]*t.values[tt.verts[3]], true
+}
+
+// TestLocatorMatchesFreshPredicates pins what a tet and a Locator keep:
+// every live tet's orientation byte is the signs of its four
+// orient3d(face, opposite vertex) values, every face's cached normal
+// gives orient3d's bits, and a Locator answers each query in raster
+// order, random order and repeated in place with the bits, hull verdict,
+// tet and number of tets visited of the walk that recomputes every
+// predicate and weight product, on compacted and uncompacted meshes.
+// Equal visits rule out a walk that cycles into the exhaustive scan,
+// which would hide a wrong predicate behind a right answer.
+func TestLocatorMatchesFreshPredicates(t *testing.T) {
+	for _, frac := range []float64{0.005, 0.02, 0.1} {
+		pts, vals := gridSubset(24, 20, 7, frac, int64(1000*frac))
+		loose, err := build(pts, vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tight, err := Build(pts, vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var queries []mathutil.Vec3
+		for k := 0; k < 7; k++ {
+			for j := 0; j < 20; j++ {
+				for i := 0; i < 24; i++ {
+					queries = append(queries, mathutil.Vec3{X: float64(i), Y: float64(j), Z: float64(k)})
+				}
+			}
+		}
+		rng := mathutil.NewRNG(int64(len(pts)))
+		for i := 0; i < 1500; i++ {
+			q := mathutil.Vec3{X: rng.Float64()*26 - 1, Y: rng.Float64()*22 - 1, Z: rng.Float64()*9 - 1}
+			queries = append(queries, q, q)
+		}
+		for name, tri := range map[string]*Triangulation{"uncompacted": loose, "compacted": tight} {
+			for k := range tri.tets {
+				tt := &tri.tets[k]
+				if tt.dead {
+					continue
+				}
+				if tt.sides != tri.orientation(tt.verts) {
+					t.Fatalf("%g %s tet %d: sides %08b, orient3d gives %08b", frac, name, k, tt.sides, tri.orientation(tt.verts))
+				}
+				var fn faceNormals
+				for f := 0; f < 4; f++ {
+					fa, fb, fc := faceOf(tt.verts, f)
+					a, b, c := tri.verts[fa], tri.verts[fb], tri.verts[fc]
+					fn.n[f], fn.a[f] = b.Sub(a).Cross(c.Sub(a)), a
+					for _, q := range queries[k%len(queries):][:4] {
+						if got, want := fn.side(f, q), orient3d(a, b, c, q); math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("%g %s tet %d face %d at %+v: cached normal gives %v, orient3d %v", frac, name, k, f, q, got, want)
+						}
+					}
+				}
+			}
+			loc := tri.NewLocator()
+			last := tri.firstLive
+			var steps int64
+			for n, q := range queries {
+				before := steps
+				got, gotOK := loc.Interpolate(q)
+				want, wantOK := freshInterpolate(tri, q, &last, &steps)
+				if steps-before >= int64(4*(len(tri.tets)+16)) {
+					t.Fatalf("%g %s query %d: the fresh walk cycled", frac, name, n)
+				}
+				if gotOK != wantOK || math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%g %s query %d %+v: Locator (%v, %v), fresh walk (%v, %v)", frac, name, n, q, got, gotOK, want, wantOK)
+				}
+				if loc.last != last || loc.walk.steps != steps {
+					t.Fatalf("%g %s query %d: Locator ended in tet %d after %d visits, fresh walk in %d after %d", frac, name, n, loc.last, loc.walk.steps, last, steps)
+				}
+			}
+		}
+	}
+}

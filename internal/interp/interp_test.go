@@ -1,16 +1,21 @@
 package interp
 
 import (
+	"context"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
 	"fillvoid/internal/datasets"
+	"fillvoid/internal/delaunay"
 	"fillvoid/internal/grid"
 	"fillvoid/internal/mathutil"
 	"fillvoid/internal/metrics"
 	"fillvoid/internal/pointcloud"
+	"fillvoid/internal/recon"
 	"fillvoid/internal/sampling"
+	"fillvoid/internal/telemetry"
 )
 
 func testVolume() *grid.Volume {
@@ -348,5 +353,87 @@ func TestRBFKernels(t *testing.T) {
 	}
 	if _, err := (&RBF{Kernel: "bogus"}).Reconstruct(cloud, SpecOf(v)); err == nil {
 		t.Fatal("accepted unknown kernel")
+	}
+}
+
+// TestRBFWarmQueriesReuseScratch bounds what a warm RBF query
+// allocates: one 2.4 KB solve matrix and right-hand side per worker of
+// the neighbour pass, not one pair per tile, which cost a 62×62×12 full
+// grid of a 1 % cloud (90 tiles at one worker) 265 KB in 194
+// allocations. An 8×8×4 box is one tile either way: about 3.2 KB in 8
+// allocations per worker.
+func TestRBFWarmQueriesReuseScratch(t *testing.T) {
+	p := pinCloud{1, 7, 0.01}.plan(t)
+	ctx := context.Background()
+	for _, c := range []struct {
+		name   string
+		region recon.Region
+		bound  uint64
+	}{
+		{"8x8x4 box", recon.Box(21, 34, 5, 29, 42, 9), 12 << 10},
+		{"full grid", recon.Full(p.Spec()), 16 << 10},
+	} {
+		for _, workers := range []int{1, 2} {
+			r := &RBF{Workers: workers}
+			dst := make([]float64, c.region.Len())
+			query := func() {
+				if err := r.ReconstructRegion(ctx, p, c.region, dst); err != nil {
+					t.Fatal(err)
+				}
+			}
+			query()
+			const calls = 5
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < calls; i++ {
+				query()
+			}
+			runtime.ReadMemStats(&after)
+			perCall := (after.TotalAlloc - before.TotalAlloc) / calls
+			t.Logf("%s, %d workers: %d B in %d allocations per call", c.name, workers, perCall, (after.Mallocs-before.Mallocs)/calls)
+			if perCall >= c.bound {
+				t.Errorf("%s, %d workers: a warm query allocates %d B, want < %d", c.name, workers, perCall, c.bound)
+			}
+		}
+	}
+}
+
+// TestLinearBuildSpan pins the mesh build's instrumentation: one
+// delaunay/build span per plan, however many linear queries share the
+// mesh, nested in the trace of the query that built it, and a
+// delaunay.tets_created counter that adds the build's insertions' tets.
+func TestLinearBuildSpan(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	reg.SetEnabled(true)
+	defer telemetry.SetDefault(telemetry.SetDefault(reg))
+	p := pinCloud{1, 7, 0.01}.plan(t)
+	box := recon.Box(21, 34, 5, 29, 42, 9)
+	dst := make([]float64, box.Len())
+	ctx, root := reg.StartTrace(context.Background(), "test/linear", "")
+	for range 2 {
+		if err := (&Linear{Workers: 1}).ReconstructRegion(ctx, p, box, dst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	root.End()
+	tri, err := delaunay.Build(p.Cloud().Points, p.Cloud().Values)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := reg.Snapshot()
+	if got := s.Spans["delaunay/build"].Count; got != 1 {
+		t.Fatalf("delaunay/build span count %d after two queries on one plan, want 1", got)
+	}
+	if got, want := s.Counters["delaunay.tets_created"], int64(tri.TetsCreated()); got != want || want <= int64(tri.NumTets()) {
+		t.Fatalf("delaunay.tets_created = %d, want %d (more than the %d live)", got, want, tri.NumTets())
+	}
+	found := false
+	for _, tr := range reg.Traces() {
+		for _, sp := range tr.Spans {
+			found = found || sp.Name == "delaunay/build" && sp.ParentID == root.ID()
+		}
+	}
+	if !found {
+		t.Fatal("no delaunay/build span under the query's trace root")
 	}
 }

@@ -5,9 +5,11 @@ import (
 
 	"fillvoid/internal/delaunay"
 	"fillvoid/internal/grid"
+	"fillvoid/internal/mathutil"
 	"fillvoid/internal/parallel"
 	"fillvoid/internal/pointcloud"
 	"fillvoid/internal/recon"
+	"fillvoid/internal/telemetry"
 )
 
 // Linear is Delaunay-triangulation piecewise-linear interpolation — the
@@ -52,7 +54,18 @@ func (r *Linear) ReconstructRegion(ctx context.Context, p *recon.Plan, region re
 		return nn.ReconstructRegion(ctx, p, region, dst)
 	}
 	v, err := p.Memo("delaunay", func() (any, error) {
-		return delaunay.Build(c.Points, c.Values)
+		// One delaunay/build span per mesh, under the query that built
+		// it; the other queries on the plan share the mesh.
+		reg := telemetry.Default()
+		_, sp := reg.Start(ctx, "delaunay/build")
+		defer sp.End()
+		tri, err := delaunay.Build(c.Points, c.Values)
+		if err != nil {
+			sp.SetError(err.Error())
+			return nil, err
+		}
+		reg.Counter("delaunay.tets_created").Add(int64(tri.TetsCreated()))
+		return tri, nil
 	})
 	if err != nil {
 		return err
@@ -61,11 +74,29 @@ func (r *Linear) ReconstructRegion(ctx context.Context, p *recon.Plan, region re
 	tree := p.Tree()
 	spec := p.Spec()
 	// Chunked so each tile's Locator benefits from the spatial coherence
-	// of consecutive grid indices (short mesh walks).
+	// of consecutive grid indices (short mesh walks). A box's positions
+	// are stepped in row order through GridSpec.Point, the bits
+	// Region.PointAt gives without its division per node.
 	return parallel.ForChunkedCtx(ctx, region.Len(), r.Workers, func(start, end int) error {
 		loc := tri.NewLocator()
+		var i, j, k int
+		if !region.IsPoints() {
+			i, j, k = region.Coords(start)
+		}
 		for m := start; m < end; m++ {
-			q := region.PointAt(spec, m)
+			var q mathutil.Vec3
+			if region.IsPoints() {
+				q = region.Points[m]
+			} else {
+				q = spec.Point(i, j, k)
+				if i++; i == region.I1 {
+					i = region.I0
+					if j++; j == region.J1 {
+						j = region.J0
+						k++
+					}
+				}
+			}
 			if val, ok := loc.Interpolate(q); ok {
 				dst[m] = val
 				continue

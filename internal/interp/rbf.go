@@ -8,6 +8,7 @@ import (
 	"fillvoid/internal/grid"
 	"fillvoid/internal/kdtree"
 	"fillvoid/internal/mathutil"
+	"fillvoid/internal/parallel"
 	"fillvoid/internal/pointcloud"
 	"fillvoid/internal/recon"
 )
@@ -70,9 +71,21 @@ func (r *RBF) ReconstructRegion(ctx context.Context, p *recon.Plan, region recon
 	if kernel != "imq" && kernel != "tps" {
 		return fmt.Errorf("interp: unknown RBF kernel %q (want imq or tps)", kernel)
 	}
-	return p.Neighbors(ctx, region, k, r.Workers, func(_, first int, queries []mathutil.Vec3, nbs []kdtree.Neighbor) error {
-		mat := make([]float64, (k+1)*(k+1))
-		rhs := make([]float64, k+1)
+	workers := r.Workers
+	if workers <= 0 {
+		workers = parallel.DefaultWorkers()
+	}
+	// One solve matrix and right-hand side per worker of the pass, made
+	// when the worker's first tile arrives; rbfValue rewrites every
+	// entry it reads, so a pair carries nothing from one query to the
+	// next.
+	scratch := make([][]float64, workers)
+	dim := k + 1
+	return p.Neighbors(ctx, region, k, workers, func(w, first int, queries []mathutil.Vec3, nbs []kdtree.Neighbor) error {
+		if scratch[w] == nil {
+			scratch[w] = make([]float64, dim*dim+dim)
+		}
+		mat, rhs := scratch[w][:dim*dim], scratch[w][dim*dim:]
 		for i, q := range queries {
 			dst[first+i] = rbfValue(c, nbs[i*k:(i+1)*k], q, kernel, shape, ridge, mat, rhs)
 		}

@@ -29,10 +29,12 @@ import (
 // volumes are defined on the full grid); the per-voxel nearest table
 // comes from the shared plan. Arbitrary point queries use the equivalent
 // gather form: accumulate every voxel x with |x - q| < |x - n(x)|.
-// The scatter is parallelized by output z-plane tile: each worker writes
-// only rows it owns, so no synchronization is needed on the
-// accumulators, and each output node receives its contributions in
-// source-scan order regardless of tiling.
+// The scatter is split by worker: each worker owns one contiguous range
+// of output planes, scans each source voxel that can reach the range
+// once, and writes only its own planes, so no synchronization is needed
+// on the accumulators. A node's contributions arrive in source-scan
+// order whatever the ranges are, so sums and counts keep their bits at
+// any worker count.
 //
 // A source voxel s scatters into each grid row as one span of nodes,
 // si−n … si+n, added without a test per node. The scatter tests node
@@ -103,23 +105,18 @@ func (r *NaturalNeighbor) ReconstructRegion(ctx context.Context, p *recon.Plan, 
 		return r.gatherPoints(ctx, p, region.Points, dst, nearestIdx, nearestD2, planeMaxD)
 	}
 
-	// Scatter, decomposed by output z-plane tile. Accumulators are
-	// region-local; sources are the full grid.
-	nzr := region.K1 - region.K0
+	// Scatter, one contiguous range of output planes per worker, as the
+	// neighbour pass splits rows: a source reaching several planes of a
+	// range is scanned once for all of them. Accumulators are
+	// region-local; sources are the full grid. A cancelled ctx stops
+	// every worker at its next source plane.
 	sums := make([]float64, region.Len())
 	counts := make([]int32, region.Len())
-	workers := r.Workers
-	if workers <= 0 {
-		workers = parallel.DefaultWorkers()
-	}
-	if workers > nzr {
-		workers = nzr
-	}
-	err := parallel.ForChunkedCtx(ctx, nzr, workers, func(zLo, zHi int) error {
-		scatterSources(spec, region, region.K0+zLo, region.K0+zHi, c.Values, nearestIdx, nearestD2, planeMaxD, sums, counts)
-		return nil
+	parallel.ForChunked(region.K1-region.K0, r.Workers, func(zLo, zHi int) {
+		//lint:allow errdrop: the only error is ctx's, returned below
+		_ = scatterSources(ctx, spec, region, region.K0+zLo, region.K0+zHi, c.Values, nearestIdx, nearestD2, planeMaxD, sums, counts)
 	})
-	if err != nil {
+	if err := ctx.Err(); err != nil {
 		return err
 	}
 	return parallel.ForCtx(ctx, region.Len(), r.Workers, func(m int) error {
@@ -134,12 +131,17 @@ func (r *NaturalNeighbor) ReconstructRegion(ctx context.Context, p *recon.Plan, 
 // than planeMaxD[sk], which bounds scatterBall's index window along
 // each axis; so only source planes, rows and columns within that reach
 // of [kLo, kHi) and the region's i/j box are scanned, and the sources
-// skipped would have scattered nothing into the region.
-func scatterSources(spec GridSpec, region recon.Region, kLo, kHi int, values []float64, nearestIdx []int32, nearestD2, planeMaxD, sums []float64, counts []int32) {
+// skipped would have scattered nothing into the region. It checks ctx
+// before each source plane and returns its error, leaving the
+// accumulators partly filled.
+func scatterSources(ctx context.Context, spec GridSpec, region recon.Region, kLo, kHi int, values []float64, nearestIdx []int32, nearestD2, planeMaxD, sums []float64, counts []int32) error {
 	w := region.I1 - region.I0
 	h := region.J1 - region.J0
 	nxy := spec.NX * spec.NY
 	for sk := 0; sk < spec.NZ; sk++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		base := sk * nxy
 		reach := int(planeMaxD[sk]/spec.Spacing.Z) + 1
 		if sk+reach < kLo || sk-reach >= kHi {
@@ -161,6 +163,7 @@ func scatterSources(spec GridSpec, region recon.Region, kLo, kHi int, values []f
 			}
 		}
 	}
+	return nil
 }
 
 // settle turns grid node g's accumulated sum and count into its
@@ -188,7 +191,9 @@ func (r *NaturalNeighbor) gatherPoints(ctx context.Context, p *recon.Plan, pts [
 		if i, j, k, ok := spec.NodeOf(q); ok {
 			var sum [1]float64
 			var count [1]int32
-			scatterSources(spec, recon.Box(i, j, k, i+1, j+1, k+1), k, k+1, c.Values, nearestIdx, nearestD2, planeMaxD, sum[:], count[:])
+			if err := scatterSources(ctx, spec, recon.Box(i, j, k, i+1, j+1, k+1), k, k+1, c.Values, nearestIdx, nearestD2, planeMaxD, sum[:], count[:]); err != nil {
+				return err
+			}
 			dst[m] = settle(c.Values, nearestIdx, nearestD2, i+spec.NX*(j+spec.NY*k), sum[0], count[0])
 			return nil
 		}

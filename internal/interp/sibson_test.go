@@ -1,8 +1,11 @@
 package interp
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"fillvoid/internal/grid"
@@ -223,6 +226,50 @@ func TestScatterBallSpansMatchPerVoxel(t *testing.T) {
 						s.name, region, i, j, k, gotS[m], gotC[m], wantS[m], wantC[m])
 				}
 			}
+		}
+	}
+}
+
+// pollCtx is a context whose Err reports context.Canceled from its
+// cancelAt-th call on, and counts the calls.
+type pollCtx struct {
+	context.Context
+	cancelAt int64
+	calls    atomic.Int64
+}
+
+func (c *pollCtx) Err() error {
+	if c.calls.Add(1) >= c.cancelAt {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestNaturalCancelledMidScatterReturnsPromptly cancels a full-grid
+// natural query at its third look at the context, inside the scatter,
+// and requires ctx.Err() back with every worker stopped at its next
+// source plane: a whole query looks once per source plane per worker,
+// the cancelled one at most once per worker after the cancel.
+func TestNaturalCancelledMidScatterReturnsPromptly(t *testing.T) {
+	p := pinCloud{1, 7, 0.01}.plan(t)
+	full := recon.Full(p.Spec())
+	dst := make([]float64, full.Len())
+	for _, workers := range []int{1, 2} {
+		r := &NaturalNeighbor{Workers: workers}
+		whole := &pollCtx{Context: context.Background(), cancelAt: math.MaxInt64}
+		if err := r.ReconstructRegion(whole, p, full, dst); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := whole.calls.Load(), int64(workers*p.Spec().NZ); got < want {
+			t.Fatalf("%d workers: a whole query looked at ctx %d times, want at least %d (once per source plane per worker)", workers, got, want)
+		}
+		const cancelAt = 3
+		cut := &pollCtx{Context: context.Background(), cancelAt: cancelAt}
+		if err := r.ReconstructRegion(cut, p, full, dst); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%d workers: cancelled query returned %v, want %v", workers, err, context.Canceled)
+		}
+		if got, most := cut.calls.Load(), int64(cancelAt+workers); got > most {
+			t.Fatalf("%d workers: cancelled query looked at ctx %d times, want at most %d", workers, got, most)
 		}
 	}
 }
